@@ -128,7 +128,9 @@ let make_entries (z : sizes) =
   in
   let serve_flat =
     Repro_serve.Resilient_oracle.create ~spot_check_every:0
-      ~primary:(Repro_serve.Resilient_oracle.flat_primary flat_sparse)
+      ~primary:
+        (Repro_serve.Resilient_oracle.store_primary
+           (Repro_hub.Store.Flat flat_sparse))
       sparse
   in
   let serve_checked =
@@ -634,7 +636,8 @@ let run_shard ~mode (z : sizes) =
   let flat = Flat_hub.of_labels labels in
   let oracle =
     Repro_serve.Resilient_oracle.create ~spot_check_every:0
-      ~primary:(Repro_serve.Resilient_oracle.flat_primary flat)
+      ~primary:
+        (Repro_serve.Resilient_oracle.store_primary (Repro_hub.Store.Flat flat))
       sparse
   in
   let single_ms, single_answers =

@@ -398,6 +398,14 @@ let exit_parse_failure = 10
 let exit_validation_failure = 11
 let exit_degraded = 12
 
+let usage_exit msg =
+  Printf.eprintf "hubhard: %s\n" msg;
+  exit 124
+
+let validation_exit msg =
+  Printf.eprintf "validation failure: %s\n" msg;
+  exit exit_validation_failure
+
 let read_input = function
   | "-" ->
       (* chunked binary read: packed label files may arrive on stdin *)
@@ -422,13 +430,22 @@ let read_input = function
           Printf.eprintf "error: %s\n" msg;
           exit exit_parse_failure)
 
-let parse_graph_exit path =
-  match Graph_io.of_string_res (read_input path) with
-  | Ok g -> g
+let parse_exit path = function
+  | Ok x -> x
   | Error e ->
       Printf.eprintf "%s: parse failure: %s\n" path
         (Graph_io.string_of_parse_error e);
       exit exit_parse_failure
+
+let parse_graph_exit path =
+  parse_exit path (Graph_io.of_string_res (read_input path))
+
+(* Every serving subcommand refuses an empty graph before loading
+   anything else. *)
+let parse_serving_graph_exit path =
+  let g = parse_graph_exit path in
+  if Graph.n g = 0 then validation_exit "empty graph";
+  g
 
 (* Label files are auto-detected: the binary packed form, the
    compressed binary form (both by magic) or the plain-text Hub_io
@@ -437,59 +454,130 @@ let parse_graph_exit path =
 let parse_labels_exit path =
   let s = read_input path in
   if Hub_io.is_packed s then
-    match Hub_io.flat_of_bytes_res s with
-    | Ok flat -> (Flat_hub.to_labels flat, Some flat)
-    | Error e ->
-        Printf.eprintf "%s: parse failure: %s\n" path
-          (Graph_io.string_of_parse_error e);
-        exit exit_parse_failure
+    let flat = parse_exit path (Hub_io.flat_of_bytes_res s) in
+    (Flat_hub.to_labels flat, Some flat)
   else if Hub_io.is_compact s then
-    match Hub_io.compact_of_bytes_res s with
-    | Ok store ->
-        let flat = Compact_hub.to_flat store in
-        (Flat_hub.to_labels flat, Some flat)
-    | Error e ->
-        Printf.eprintf "%s: parse failure: %s\n" path
-          (Graph_io.string_of_parse_error e);
-        exit exit_parse_failure
-  else
-    match Hub_io.of_string_res s with
-    | Ok l -> (l, None)
-    | Error e ->
-        Printf.eprintf "%s: parse failure: %s\n" path
-          (Graph_io.string_of_parse_error e);
-        exit exit_parse_failure
+    let store = parse_exit path (Hub_io.compact_of_bytes_res s) in
+    let flat = Compact_hub.to_flat store in
+    (Flat_hub.to_labels flat, Some flat)
+  else (parse_exit path (Hub_io.of_string_res s), None)
 
 let structural_exit g labels =
   match Hub_verify.structural g labels with
   | Ok () -> ()
-  | Error msg ->
-      Printf.eprintf "validation failure: %s\n" msg;
-      exit exit_validation_failure
+  | Error msg -> validation_exit msg
 
-(* Zero-copy path: map the packed file instead of parsing it. The O(n)
-   header/offset validation is done by the loader; the O(total)
-   structural check is deliberately skipped — that is the whole point
-   of --mmap (run 'serve check' offline when provenance is in doubt).
-   Malformed files exit 10 like every other parse failure; a store
-   whose n disagrees with the graph exits 11. *)
-let load_mmap_exit ~graph path =
-  if path = "-" then begin
-    Printf.eprintf "hubhard: --mmap requires a regular file, not stdin\n";
-    exit 124
-  end;
-  match Mmap_hub.load_res path with
+(* Zero-copy paths (--mmap, --compact): map the packed file instead of
+   parsing it. The loader does the O(n) header/offset validation; the
+   O(total) structural check is deliberately skipped — that is the
+   whole point of mapping (run 'serve check' offline when provenance
+   is in doubt). Malformed files exit 10 like every other parse
+   failure. *)
+let map_exit ~flag load error_to_string path =
+  if path = "-" then usage_exit (flag ^ " requires a regular file, not stdin");
+  match load path with
+  | Ok store -> store
   | Error e ->
-      Printf.eprintf "%s: parse failure: %s\n" path (Mmap_hub.error_to_string e);
+      Printf.eprintf "%s: parse failure: %s\n" path (error_to_string e);
       exit exit_parse_failure
-  | Ok store ->
-      if Mmap_hub.n store <> Graph.n graph then begin
-        Printf.eprintf
-          "validation failure: mmap store has n=%d but graph has n=%d\n"
-          (Mmap_hub.n store) (Graph.n graph);
-        exit exit_validation_failure
-      end;
-      store
+
+(* The store flags of one serve subcommand. The sharded tier (worker,
+   router, trace) takes no --flat or --cache-slots. *)
+type store_flags = {
+  labels_file : string option;
+  flat : bool;
+  mmap : bool;
+  compact : bool;
+  cache_slots : int;
+}
+
+(* One shared resolver for the store flags; every serve subcommand
+   (query | stats | loop | worker | router | trace) routes its
+   combination through here before reading any input, so the rejected
+   combinations — and their exit-124 contract — live in exactly one
+   place. *)
+let resolve_store_exit f =
+  if (f.mmap && f.flat) || (f.compact && f.flat) || (f.mmap && f.compact) then
+    usage_exit "--mmap, --compact and --flat are mutually exclusive";
+  if f.cache_slots < 0 then usage_exit "--cache-slots must be non-negative";
+  let packed =
+    if f.mmap then Some "--mmap"
+    else if f.compact then Some "--compact"
+    else if f.flat then Some "--flat"
+    else None
+  in
+  match packed with
+  | Some flag when f.labels_file = None ->
+      usage_exit (flag ^ " requires --labels-file")
+  | None when f.cache_slots > 0 ->
+      usage_exit "--cache-slots requires --flat, --mmap or --compact"
+  | _ -> ()
+
+(* The one store loader behind every serve subcommand: [None] without
+   --labels-file (search-only serving). Heap stores pass the
+   structural check; every store whose n disagrees with the graph
+   exits 11. *)
+let load_store_exit ~graph f =
+  Option.map
+    (fun path ->
+      let store =
+        if f.mmap then
+          Store.Mmap
+            (map_exit ~flag:"--mmap"
+               (fun p -> Mmap_hub.load_res p)
+               Mmap_hub.error_to_string path)
+        else if f.compact then
+          Store.Compact
+            (map_exit ~flag:"--compact"
+               (fun p -> Compact_hub.load_res p)
+               Compact_hub.error_to_string path)
+        else begin
+          let labels, packed = parse_labels_exit path in
+          structural_exit graph labels;
+          match (f.flat, packed) with
+          | false, _ -> Store.Assoc labels
+          | true, Some flat -> Store.Flat flat
+          | true, None -> Store.Flat (Flat_hub.of_labels labels)
+        end
+      in
+      (match Store.check_graph store graph with
+      | Ok () -> ()
+      | Error msg -> validation_exit msg);
+      Store.with_cache ~cache_slots:f.cache_slots store)
+    f.labels_file
+
+(* ----- serve flags: each defined once, composed per subcommand ----- *)
+
+let graph_file_arg =
+  let doc = "Graph file in Graph_io format ('-' for stdin)." in
+  Arg.(
+    required
+    & opt (some string) None
+    & info [ "graph-file" ] ~docv:"FILE" ~doc)
+
+let labels_file_req_arg =
+  let doc = "Hub labeling file in Hub_io format ('-' for stdin)." in
+  Arg.(
+    required
+    & opt (some string) None
+    & info [ "labels-file" ] ~docv:"FILE" ~doc)
+
+let labels_file_opt_arg =
+  let doc =
+    "Optional hub labeling file; without it queries are served by the \
+     search chain only."
+  in
+  Arg.(
+    value & opt (some string) None & info [ "labels-file" ] ~docv:"FILE" ~doc)
+
+let flat_arg =
+  let doc =
+    "Serve from the packed flat-array store (Flat_hub) instead of the \
+     per-vertex assoc labeling. Text label files are packed on load; \
+     binary packed files (hubhard label --pack) already are. Requires \
+     --labels-file."
+  in
+  Arg.(value & flag & info [ "flat" ] ~doc)
 
 let mmap_arg =
   let doc =
@@ -512,73 +600,142 @@ let compact_arg =
   in
   Arg.(value & flag & info [ "compact" ] ~doc)
 
-(* Compressed zero-copy path: the HUBFLAT2 mirror of load_mmap_exit.
-   Shallow O(n) validation on open; malformed files exit 10, an
-   n-mismatch exits 11. *)
-let load_compact_exit ~graph path =
-  if path = "-" then begin
-    Printf.eprintf "hubhard: --compact requires a regular file, not stdin\n";
-    exit 124
-  end;
-  match Compact_hub.load_res path with
-  | Error e ->
-      Printf.eprintf "%s: parse failure: %s\n" path
-        (Compact_hub.error_to_string e);
-      exit exit_parse_failure
-  | Ok store ->
-      if Compact_hub.n store <> Graph.n graph then begin
-        Printf.eprintf
-          "validation failure: compact store has n=%d but graph has n=%d\n"
-          (Compact_hub.n store) (Graph.n graph);
-        exit exit_validation_failure
-      end;
-      store
+let cache_slots_arg =
+  let doc =
+    "With --flat, --mmap or --compact: direct-mapped distance-cache slots \
+     (0 disables the cache)."
+  in
+  Arg.(value & opt int 0 & info [ "cache-slots" ] ~docv:"SLOTS" ~doc)
 
-(* One shared resolver for the serving-store kind; every serve
-   subcommand (query | stats | loop | worker | router | trace) routes
-   its --mmap/--compact/--flat/--labels-file combination through here,
-   so the rejected combinations — and their exit-124 contract — live
-   in exactly one place. *)
-type store_kind = Store_assoc | Store_flat | Store_mmap | Store_compact
+(* query | stats | loop take every store flag *)
+let store_flags_term =
+  Term.(
+    const (fun labels_file flat mmap compact cache_slots ->
+        { labels_file; flat; mmap; compact; cache_slots })
+    $ labels_file_opt_arg $ flat_arg $ mmap_arg $ compact_arg
+    $ cache_slots_arg)
 
-let resolve_store_kind ?(flat = false) ~mmap ~compact ~labels_file () =
-  if (mmap && flat) || (compact && flat) || (mmap && compact) then begin
-    Printf.eprintf
-      "hubhard: --mmap, --compact and --flat are mutually exclusive\n";
-    exit 124
-  end;
-  if mmap && labels_file = None then begin
-    Printf.eprintf "hubhard: --mmap requires --labels-file\n";
-    exit 124
-  end;
-  if compact && labels_file = None then begin
-    Printf.eprintf "hubhard: --compact requires --labels-file\n";
-    exit 124
-  end;
-  if mmap then Store_mmap
-  else if compact then Store_compact
-  else if flat then Store_flat
-  else Store_assoc
+(* worker | router | trace: no heap-flat store, no cache *)
+let shard_store_flags_term =
+  Term.(
+    const (fun labels_file mmap compact ->
+        { labels_file; flat = false; mmap; compact; cache_slots = 0 })
+    $ labels_file_opt_arg $ mmap_arg $ compact_arg)
 
-let store_kind_name ~labels = function
-  | Store_mmap -> "mmap"
-  | Store_compact -> "compact"
-  | Store_flat -> "flat"
-  | Store_assoc -> if labels then "assoc" else "search"
+(* --budget arrives as the oracle's [step_budget]: 0 (or less) = none *)
+let budget_arg =
+  let doc =
+    "Per-query step budget (label scan / bidirectional expansions); 0 \
+     means unlimited."
+  in
+  Term.(
+    const (fun b -> if b > 0 then Some b else None)
+    $ Arg.(value & opt int 0 & info [ "budget" ] ~docv:"B" ~doc))
 
-let graph_file_arg =
-  let doc = "Graph file in Graph_io format ('-' for stdin)." in
+let spot_check_arg =
+  let doc =
+    "Spot-check every K-th primary answer (0 disables); on the sharded \
+     tier every worker applies it to its own answers."
+  in
+  Arg.(value & opt int 1 & info [ "spot-check-every" ] ~docv:"K" ~doc)
+
+let quarantine_after_arg =
+  let doc = "Quarantine the primary after this many strikes." in
+  Arg.(value & opt int 3 & info [ "quarantine-after" ] ~docv:"Q" ~doc)
+
+let inject_fraction_arg =
+  let doc =
+    "Deterministically inject faults into this fraction of primary calls \
+     (demonstration/testing)."
+  in
+  Arg.(value & opt float 0.0 & info [ "inject-fraction" ] ~docv:"F" ~doc)
+
+let inject_mode_arg =
+  let doc = "Injected fault kind: $(docv) is corrupt, drop or fail." in
   Arg.(
-    required
-    & opt (some string) None
-    & info [ "graph-file" ] ~docv:"FILE" ~doc)
+    value
+    & opt
+        (enum
+           [
+             ("corrupt", Fault_injector.Corrupt);
+             ("drop", Fault_injector.Drop);
+             ("fail", Fault_injector.Fail);
+           ])
+        Fault_injector.Corrupt
+    & info [ "inject-mode" ] ~docv:"MODE" ~doc)
 
-let labels_file_req_arg =
-  let doc = "Hub labeling file in Hub_io format ('-' for stdin)." in
+let check_inject_exit inject_fraction =
+  if inject_fraction < 0.0 || inject_fraction > 1.0 then
+    usage_exit "--inject-fraction must lie in [0, 1]"
+
+let num_arg default =
+  let doc = "Number of random query pairs to serve (without --pair/--op)." in
+  Arg.(value & opt int default & info [ "num" ] ~docv:"N" ~doc)
+
+let traces_arg default =
+  let doc =
+    "Number of most recent per-query trace records kept for the report \
+     (stats) or each snapshot (loop)."
+  in
+  Arg.(value & opt int default & info [ "traces" ] ~docv:"K" ~doc)
+
+let echo_arg =
+  let doc = "Print each answer as 'u v dist source' (off by default)." in
+  Arg.(value & flag & info [ "echo" ] ~doc)
+
+let queries_arg =
+  let doc =
+    "Query stream: one 'u v' pair per line ('-' for stdin; blank lines and \
+     '#' comments skipped). Malformed or out-of-range lines are counted, \
+     not fatal. With --op and no explicit --queries, router and trace skip \
+     the stream entirely."
+  in
+  Arg.(value & opt string "-" & info [ "queries" ] ~docv:"FILE" ~doc)
+
+let ops_arg =
+  let doc =
+    "Aggregate operation (repeatable): 'dist:U,V', 'batch:U,V;U,V', \
+     'one-to-many:S:T1,T2', 'many-to-many:S1,S2:T1,T2', 'top-k:S,K', \
+     'ecc:V', 'farthest:V' or 'diam'. Served through the resilient per-op \
+     degradation path and instrumented under ops.<name>.*; the sharded \
+     tier fans it out to the owning shards and merges, serving a dead \
+     shard's share exactly by the router's local fallback (marked \
+     degraded)."
+  in
+  Arg.(value & opt_all string [] & info [ "op" ] ~docv:"OP" ~doc)
+
+let parse_ops_exit =
+  List.map (fun s ->
+      match Ops.request_of_string s with
+      | Ok r -> r
+      | Error msg -> usage_exit (Printf.sprintf "--op %S: %s" s msg))
+
+let validate_ops_exit ~n =
+  List.iter (fun r ->
+      match Ops.validate ~n r with
+      | Ok () -> ()
+      | Error msg -> validation_exit msg)
+
+let metrics_out_arg =
+  let doc =
+    "Write the full metrics registry (counters, gauges, latency histograms \
+     with p50/p90/p99/max) as JSON to $(docv) — see docs/OBSERVABILITY.md \
+     for the schema."
+  in
   Arg.(
-    required
-    & opt (some string) None
-    & info [ "labels-file" ] ~docv:"FILE" ~doc)
+    value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
+
+let clock_step_arg =
+  let doc =
+    "Manual clock step in ns per reading (0 = monotonic wall clock); with \
+     it, metrics snapshots are byte-identical across same-seed runs."
+  in
+  Arg.(value & opt int 0 & info [ "clock-step" ] ~docv:"NS" ~doc)
+
+let write_file path s =
+  let oc = open_out_bin path in
+  output_string oc s;
+  close_out oc
 
 let serve_check_cmd =
   let samples =
@@ -612,15 +769,14 @@ let serve_check_cmd =
       const run $ graph_file_arg $ labels_file_req_arg $ samples $ seed_arg
       $ jobs_arg)
 
-(* Build the serving oracle for `serve query` / `serve stats`: one
-   unified Resilient_oracle.create over a uniform primary backend,
-   every layer instrumented into [registry]. Returns the oracle plus a
-   cache-stats thunk for whichever store is in play. [mmap] / [compact]
-   (already loaded and n-checked) take the primary slot when present;
-   [labels] feeds the assoc or heap-flat primaries otherwise. *)
-let build_serving_oracle ?clock ?(instrument_primary = true) ~registry ~labels
-    ~flat ~mmap ~compact ~cache_slots ~step_budget ~spot_check
-    ~quarantine_after ~inject_fraction ~inject_mode ~seed g =
+(* Build the serving oracle for `serve query | stats | loop`: one
+   unified Resilient_oracle.create over the store's budget-capped
+   primary (optionally fault-injected), every layer instrumented into
+   [registry], with the store's native aggregate evaluator (none for
+   the assoc labeling — the oracle lifts its point query instead). *)
+let build_serving_oracle ?clock ?(instrument_primary = true) ~registry ~store
+    ~step_budget ~spot_check ~quarantine_after ~inject_fraction ~inject_mode
+    ~seed g =
   let wrap_primary base =
     let base =
       if inject_fraction <= 0.0 then base
@@ -639,212 +795,50 @@ let build_serving_oracle ?clock ?(instrument_primary = true) ~registry ~labels
        when primary answers are precomputed in parallel *)
     if instrument_primary then Obs.instrument ?clock registry base else base
   in
-  (* the third slot is the native aggregate-op implementation riding
-     the same store: the assoc labeling has none (the oracle lifts its
-     point query over Ops.brute instead) *)
-  let primary_and_cache =
-    match (mmap, compact, labels) with
-    | Some m, _, _ ->
-        let store =
-          if cache_slots > 0 then Mmap_hub.with_cache ~cache_slots m else m
-        in
-        Some
-          ( wrap_primary (Resilient_oracle.mmap_primary ?step_budget store),
-            (fun () -> Mmap_hub.cache_stats store),
-            Some (Mmap_hub.ops store) )
-    | None, Some c, _ ->
-        let store =
-          if cache_slots > 0 then Compact_hub.with_cache ~cache_slots c else c
-        in
-        Some
-          ( wrap_primary (Resilient_oracle.compact_primary ?step_budget store),
-            (fun () -> Compact_hub.cache_stats store),
-            Some (Compact_hub.ops store) )
-    | None, None, Some (l, packed) ->
-        let store =
-          if not flat then None
-          else
-            let s = Option.value packed ~default:(Flat_hub.of_labels l) in
-            Some
-              (if cache_slots > 0 then Flat_hub.with_cache ~cache_slots s
-               else s)
-        in
-        let base =
-          match store with
-          | Some s -> Resilient_oracle.flat_primary ?step_budget s
-          | None -> Resilient_oracle.hub_primary ?step_budget l
-        in
-        Some
-          ( wrap_primary base,
-            (fun () -> Option.bind store Flat_hub.cache_stats),
-            Option.map (fun s -> Flat_hub.ops s) store )
-    | None, None, None -> None
+  let primary =
+    Option.map
+      (fun s -> wrap_primary (Resilient_oracle.store_primary ?step_budget s))
+      store
   in
-  let primary = Option.map (fun (p, _, _) -> p) primary_and_cache in
-  let primary_ops =
-    Option.bind primary_and_cache (fun (_, _, o) -> o)
-  in
-  let cache_stats =
-    match primary_and_cache with
-    | Some (_, f, _) -> f
-    | None -> fun () -> None
-  in
-  let oracle =
-    Resilient_oracle.create ?step_budget ~spot_check_every:spot_check
-      ~quarantine_after ~metrics:registry ?primary ?primary_ops g
-  in
-  (oracle, cache_stats)
+  let primary_ops = Option.bind store (fun s -> Store.ops s) in
+  Resilient_oracle.create ?step_budget ~spot_check_every:spot_check
+    ~quarantine_after ~metrics:registry ?primary ?primary_ops g
 
-let write_file path s =
-  let oc = open_out_bin path in
-  output_string oc s;
-  close_out oc
+let print_oracle_stats oracle =
+  Format.printf "stats: %a@." Resilient_oracle.pp_stats
+    (Resilient_oracle.stats oracle);
+  if Resilient_oracle.quarantined oracle then
+    Format.printf "quarantined: %s@."
+      (Option.value ~default:"primary" (Resilient_oracle.primary_name oracle))
 
-let metrics_out_arg =
-  let doc =
-    "Write the full metrics registry (counters, gauges, latency histograms \
-     with p50/p90/p99/max) as JSON to $(docv) — see docs/OBSERVABILITY.md \
-     for the schema."
-  in
-  Arg.(
-    value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
-
-let labels_file_opt_arg =
-  let doc =
-    "Optional hub labeling file; without it queries are served by the \
-     search chain only."
-  in
-  Arg.(
-    value & opt (some string) None & info [ "labels-file" ] ~docv:"FILE" ~doc)
+let exit_if_degraded oracle =
+  let s = Resilient_oracle.stats oracle in
+  if
+    s.Resilient_oracle.fallback_answers > 0
+    || s.Resilient_oracle.quarantines > 0
+    || s.Resilient_oracle.faults > 0
+  then exit exit_degraded
 
 let serve_query_cmd =
-  let labels_file = labels_file_opt_arg in
   let pairs =
     let doc = "Query pair 'u,v' (repeatable)." in
     Arg.(
       value & opt_all (pair ~sep:',' int int) [] & info [ "pair" ] ~docv:"U,V" ~doc)
   in
-  let ops =
-    let doc =
-      "Aggregate operation (repeatable): 'dist:U,V', 'batch:U,V;U,V', \
-       'one-to-many:S:T1,T2', 'many-to-many:S1,S2:T1,T2', 'top-k:S,K', \
-       'ecc:V', 'farthest:V' or 'diam'. Served through the resilient \
-       per-op degradation path and instrumented under ops.<name>.*."
-    in
-    Arg.(value & opt_all string [] & info [ "op" ] ~docv:"OP" ~doc)
-  in
-  let num =
-    let doc = "Number of random query pairs when no --pair is given." in
-    Arg.(value & opt int 16 & info [ "num" ] ~docv:"N" ~doc)
-  in
-  let budget =
-    let doc =
-      "Per-query step budget (label scan / bidirectional expansions); 0 \
-       means unlimited."
-    in
-    Arg.(value & opt int 0 & info [ "budget" ] ~docv:"B" ~doc)
-  in
-  let spot_check =
-    let doc = "Spot-check every K-th primary answer (0 disables)." in
-    Arg.(value & opt int 1 & info [ "spot-check-every" ] ~docv:"K" ~doc)
-  in
-  let quarantine_after =
-    let doc = "Quarantine the primary after this many strikes." in
-    Arg.(value & opt int 3 & info [ "quarantine-after" ] ~docv:"Q" ~doc)
-  in
-  let flat =
-    let doc =
-      "Serve from the packed flat-array store (Flat_hub) instead of the \
-       per-vertex assoc labeling. Text label files are packed on load; \
-       binary packed files (hubhard label --pack) already are."
-    in
-    Arg.(value & flag & info [ "flat" ] ~doc)
-  in
-  let cache_slots =
-    let doc =
-      "With --flat: direct-mapped distance-cache slots (0 disables the \
-       cache)."
-    in
-    Arg.(value & opt int 0 & info [ "cache-slots" ] ~docv:"SLOTS" ~doc)
-  in
-  let inject_fraction =
-    let doc =
-      "Deterministically inject faults into this fraction of primary calls \
-       (demonstration/testing)."
-    in
-    Arg.(value & opt float 0.0 & info [ "inject-fraction" ] ~docv:"F" ~doc)
-  in
-  let inject_mode =
-    let doc = "Injected fault kind: $(docv) is corrupt, drop or fail." in
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("corrupt", Fault_injector.Corrupt);
-               ("drop", Fault_injector.Drop);
-               ("fail", Fault_injector.Fail);
-             ])
-          Fault_injector.Corrupt
-      & info [ "inject-mode" ] ~docv:"MODE" ~doc)
-  in
-  let run graph_file labels_file pairs ops num budget spot_check
-      quarantine_after flat mmap compact cache_slots inject_fraction
-      inject_mode metrics_out seed jobs =
+  let run graph_file store_flags pairs ops num step_budget spot_check
+      quarantine_after inject_fraction inject_mode metrics_out seed jobs =
     apply_jobs jobs;
-    if inject_fraction < 0.0 || inject_fraction > 1.0 then begin
-      Printf.eprintf "hubhard: --inject-fraction must lie in [0, 1]\n";
-      exit 124
-    end;
-    if cache_slots < 0 then begin
-      Printf.eprintf "hubhard: --cache-slots must be non-negative\n";
-      exit 124
-    end;
-    let kind = resolve_store_kind ~flat ~mmap ~compact ~labels_file () in
-    let op_reqs =
-      List.map
-        (fun s ->
-          match Ops.request_of_string s with
-          | Ok r -> r
-          | Error msg ->
-              Printf.eprintf "hubhard: --op %S: %s\n" s msg;
-              exit 124)
-        ops
-    in
-    let g = parse_graph_exit graph_file in
+    check_inject_exit inject_fraction;
+    resolve_store_exit store_flags;
+    let op_reqs = parse_ops_exit ops in
+    let g = parse_serving_graph_exit graph_file in
     let n = Graph.n g in
-    if n = 0 then begin
-      Printf.eprintf "validation failure: empty graph\n";
-      exit exit_validation_failure
-    end;
-    List.iter
-      (fun r ->
-        match Ops.validate ~n r with
-        | Ok () -> ()
-        | Error msg ->
-            Printf.eprintf "validation failure: %s\n" msg;
-            exit exit_validation_failure)
-      op_reqs;
-    let mmap =
-      if kind = Store_mmap then Option.map (load_mmap_exit ~graph:g) labels_file
-      else None
-    in
-    let compact =
-      if kind = Store_compact then
-        Option.map (load_compact_exit ~graph:g) labels_file
-      else None
-    in
-    let labels =
-      if mmap <> None || compact <> None then None
-      else Option.map parse_labels_exit labels_file
-    in
-    Option.iter (fun (l, _) -> structural_exit g l) labels;
-    let step_budget = if budget > 0 then Some budget else None in
+    validate_ops_exit ~n op_reqs;
+    let store = load_store_exit ~graph:g store_flags in
     let registry = Metrics.create () in
-    let oracle, _cache_stats =
-      build_serving_oracle ~registry ~labels ~flat ~mmap ~compact ~cache_slots
-        ~step_budget ~spot_check ~quarantine_after ~inject_fraction
-        ~inject_mode ~seed g
+    let oracle =
+      build_serving_oracle ~registry ~store ~step_budget ~spot_check
+        ~quarantine_after ~inject_fraction ~inject_mode ~seed g
     in
     let backend =
       Obs.instrument ~prefix:"serve" registry (Resilient_oracle.backend oracle)
@@ -860,10 +854,8 @@ let serve_query_cmd =
     in
     List.iter
       (fun (u, v) ->
-        if u < 0 || u >= n || v < 0 || v >= n then begin
-          Printf.eprintf "validation failure: pair (%d, %d) out of range\n" u v;
-          exit exit_validation_failure
-        end)
+        if u < 0 || u >= n || v < 0 || v >= n then
+          validation_exit (Printf.sprintf "pair (%d, %d) out of range" u v))
       pairs;
     List.iter
       (fun (u, v) ->
@@ -879,22 +871,13 @@ let serve_query_cmd =
           (Ops.response_to_string resp)
           (Resilient_oracle.source_name src))
       op_reqs;
-    let s = Resilient_oracle.stats oracle in
-    Format.printf "stats: %a@." Resilient_oracle.pp_stats s;
-    if Resilient_oracle.quarantined oracle then
-      Format.printf "quarantined: %s@."
-        (Option.value ~default:"primary"
-           (Resilient_oracle.primary_name oracle));
+    print_oracle_stats oracle;
     (match metrics_out with
     | None -> ()
     | Some path ->
         write_file path (Metrics.to_json (Metrics.snapshot registry));
         Format.printf "metrics: wrote %s@." path);
-    if
-      s.Resilient_oracle.fallback_answers > 0
-      || s.Resilient_oracle.quarantines > 0
-      || s.Resilient_oracle.faults > 0
-    then exit exit_degraded
+    exit_if_degraded oracle
   in
   let doc =
     "Answer distance queries — point pairs (--pair) and aggregate \
@@ -905,35 +888,12 @@ let serve_query_cmd =
   in
   Cmd.v (Cmd.info "query" ~doc)
     Term.(
-      const run $ graph_file_arg $ labels_file $ pairs $ ops $ num $ budget
-      $ spot_check $ quarantine_after $ flat $ mmap_arg $ compact_arg
-      $ cache_slots $ inject_fraction $ inject_mode $ metrics_out_arg
-      $ seed_arg $ jobs_arg)
+      const run $ graph_file_arg $ store_flags_term $ pairs $ ops_arg
+      $ num_arg 16 $ budget_arg $ spot_check_arg $ quarantine_after_arg
+      $ inject_fraction_arg $ inject_mode_arg $ metrics_out_arg $ seed_arg
+      $ jobs_arg)
 
 let serve_stats_cmd =
-  let num =
-    let doc = "Number of random query pairs to drive through the stack." in
-    Arg.(value & opt int 256 & info [ "num" ] ~docv:"N" ~doc)
-  in
-  let budget =
-    let doc =
-      "Per-query step budget (label scan / bidirectional expansions); 0 \
-       means unlimited."
-    in
-    Arg.(value & opt int 0 & info [ "budget" ] ~docv:"B" ~doc)
-  in
-  let spot_check =
-    let doc = "Spot-check every K-th primary answer (0 disables)." in
-    Arg.(value & opt int 1 & info [ "spot-check-every" ] ~docv:"K" ~doc)
-  in
-  let flat =
-    let doc = "Serve from the packed flat-array store (see 'serve query')." in
-    Arg.(value & flag & info [ "flat" ] ~doc)
-  in
-  let cache_slots =
-    let doc = "With --flat: direct-mapped distance-cache slots." in
-    Arg.(value & opt int 0 & info [ "cache-slots" ] ~docv:"SLOTS" ~doc)
-  in
   let json =
     let doc = "Print the metrics registry as JSON instead of the text report." in
     Arg.(value & flag & info [ "json" ] ~doc)
@@ -949,43 +909,17 @@ let serve_stats_cmd =
       & opt (enum [ ("text", `Text); ("json", `Json); ("prom", `Prom) ]) `Text
       & info [ "format" ] ~docv:"FMT" ~doc)
   in
-  let traces =
-    let doc = "Number of most recent per-query trace records to show." in
-    Arg.(value & opt int 5 & info [ "traces" ] ~docv:"K" ~doc)
-  in
-  let run graph_file labels_file num budget spot_check flat mmap compact
-      cache_slots json format traces metrics_out seed jobs =
+  let run graph_file store_flags num step_budget spot_check json format traces
+      metrics_out seed jobs =
     apply_jobs jobs;
-    if cache_slots < 0 then begin
-      Printf.eprintf "hubhard: --cache-slots must be non-negative\n";
-      exit 124
-    end;
-    let kind = resolve_store_kind ~flat ~mmap ~compact ~labels_file () in
-    let g = parse_graph_exit graph_file in
+    resolve_store_exit store_flags;
+    let g = parse_serving_graph_exit graph_file in
     let n = Graph.n g in
-    if n = 0 then begin
-      Printf.eprintf "validation failure: empty graph\n";
-      exit exit_validation_failure
-    end;
-    let mmap =
-      if kind = Store_mmap then Option.map (load_mmap_exit ~graph:g) labels_file
-      else None
-    in
-    let compact =
-      if kind = Store_compact then
-        Option.map (load_compact_exit ~graph:g) labels_file
-      else None
-    in
-    let labels =
-      if mmap <> None || compact <> None then None
-      else Option.map parse_labels_exit labels_file
-    in
-    Option.iter (fun (l, _) -> structural_exit g l) labels;
-    let step_budget = if budget > 0 then Some budget else None in
+    let store = load_store_exit ~graph:g store_flags in
     let registry = Metrics.create () in
-    let oracle, cache_stats =
-      build_serving_oracle ~registry ~labels ~flat ~mmap ~compact ~cache_slots
-        ~step_budget ~spot_check ~quarantine_after:3 ~inject_fraction:0.0
+    let oracle =
+      build_serving_oracle ~registry ~store ~step_budget ~spot_check
+        ~quarantine_after:3 ~inject_fraction:0.0
         ~inject_mode:Fault_injector.Corrupt ~seed g
     in
     let recorder = Trace.recorder ~capacity:(max 1 traces) in
@@ -1009,7 +943,7 @@ let serve_stats_cmd =
           (Backend.space_words backend);
         Option.iter
           (fun (h, m) -> Format.printf "store cache: %d hits, %d misses@." h m)
-          (cache_stats ());
+          (Option.bind store Store.cache_stats);
         Format.printf "%a" Metrics.pp snap;
         if traces > 0 then begin
           Format.printf "recent traces (%d of %d):@."
@@ -1033,9 +967,9 @@ let serve_stats_cmd =
   in
   Cmd.v (Cmd.info "stats" ~doc)
     Term.(
-      const run $ graph_file_arg $ labels_file_opt_arg $ num $ budget
-      $ spot_check $ flat $ mmap_arg $ compact_arg $ cache_slots $ json
-      $ format $ traces $ metrics_out_arg $ seed_arg $ jobs_arg)
+      const run $ graph_file_arg $ store_flags_term $ num_arg 256 $ budget_arg
+      $ spot_check_arg $ json $ format $ traces_arg 5 $ metrics_out_arg
+      $ seed_arg $ jobs_arg)
 
 (* serve loop: a long-lived query loop over a file or stdin, flushing
    periodic observability snapshots (metrics registry + recent traces +
@@ -1045,14 +979,6 @@ let serve_stats_cmd =
    included — is a pure function of the inputs. *)
 
 let serve_loop_cmd =
-  let queries_file =
-    let doc =
-      "Query stream: one 'u v' pair per line ('-' for stdin; blank lines \
-       and '#' comments skipped). Malformed or out-of-range lines are \
-       counted and logged, not fatal."
-    in
-    Arg.(value & opt string "-" & info [ "queries" ] ~docv:"FILE" ~doc)
-  in
   let flush_every =
     let doc =
       "Write a snapshot every $(docv) served queries (0 disables \
@@ -1068,69 +994,9 @@ let serve_loop_cmd =
     in
     Arg.(value & opt int 0 & info [ "flush-ticks" ] ~docv:"NS" ~doc)
   in
-  let clock_step =
-    let doc =
-      "Use a manual clock advancing $(docv) ns per reading instead of the \
-       process clock; two runs with the same inputs and seed then produce \
-       byte-identical snapshots (0 = monotonic wall clock)."
-    in
-    Arg.(value & opt int 0 & info [ "clock-step" ] ~docv:"NS" ~doc)
-  in
-  let traces =
-    let doc = "Ring capacity for recent per-query traces in snapshots." in
-    Arg.(value & opt int 16 & info [ "traces" ] ~docv:"K" ~doc)
-  in
   let events_cap =
     let doc = "Ring capacity for the structured event log in snapshots." in
     Arg.(value & opt int 64 & info [ "events" ] ~docv:"K" ~doc)
-  in
-  let budget =
-    let doc =
-      "Per-query step budget (label scan / bidirectional expansions); 0 \
-       means unlimited."
-    in
-    Arg.(value & opt int 0 & info [ "budget" ] ~docv:"B" ~doc)
-  in
-  let spot_check =
-    let doc = "Spot-check every K-th primary answer (0 disables)." in
-    Arg.(value & opt int 1 & info [ "spot-check-every" ] ~docv:"K" ~doc)
-  in
-  let quarantine_after =
-    let doc = "Quarantine the primary after this many strikes." in
-    Arg.(value & opt int 3 & info [ "quarantine-after" ] ~docv:"Q" ~doc)
-  in
-  let flat =
-    let doc = "Serve from the packed flat-array store (see 'serve query')." in
-    Arg.(value & flag & info [ "flat" ] ~doc)
-  in
-  let cache_slots =
-    let doc = "With --flat: direct-mapped distance-cache slots." in
-    Arg.(value & opt int 0 & info [ "cache-slots" ] ~docv:"SLOTS" ~doc)
-  in
-  let inject_fraction =
-    let doc =
-      "Deterministically inject faults into this fraction of primary calls \
-       (demonstration/testing)."
-    in
-    Arg.(value & opt float 0.0 & info [ "inject-fraction" ] ~docv:"F" ~doc)
-  in
-  let inject_mode =
-    let doc = "Injected fault kind: $(docv) is corrupt, drop or fail." in
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("corrupt", Fault_injector.Corrupt);
-               ("drop", Fault_injector.Drop);
-               ("fail", Fault_injector.Fail);
-             ])
-          Fault_injector.Corrupt
-      & info [ "inject-mode" ] ~docv:"MODE" ~doc)
-  in
-  let echo =
-    let doc = "Print each answer as 'u v dist source' (off by default)." in
-    Arg.(value & flag & info [ "echo" ] ~doc)
   in
   let batch =
     let doc =
@@ -1142,28 +1008,19 @@ let serve_loop_cmd =
     in
     Arg.(value & opt int 1 & info [ "batch" ] ~docv:"N" ~doc)
   in
-  let run graph_file labels_file queries_file flush_every flush_ticks
-      clock_step traces events_cap budget spot_check quarantine_after flat
-      mmap compact cache_slots inject_fraction inject_mode echo batch
-      metrics_out seed jobs =
+  let run graph_file store_flags queries_file flush_every flush_ticks
+      clock_step traces events_cap step_budget spot_check quarantine_after
+      inject_fraction inject_mode echo batch metrics_out seed jobs =
     apply_jobs jobs;
-    if batch < 1 then begin
-      Printf.eprintf "hubhard: --batch must be positive\n";
-      exit 124
-    end;
-    if inject_fraction < 0.0 || inject_fraction > 1.0 then begin
-      Printf.eprintf "hubhard: --inject-fraction must lie in [0, 1]\n";
-      exit 124
-    end;
-    let kind = resolve_store_kind ~flat ~mmap ~compact ~labels_file () in
-    if cache_slots < 0 || flush_every < 0 || flush_ticks < 0 || clock_step < 0
-       || traces < 1 || events_cap < 1
-    then begin
-      Printf.eprintf
-        "hubhard: --cache-slots/--flush-every/--flush-ticks/--clock-step \
-         must be non-negative; --traces/--events must be positive\n";
-      exit 124
-    end;
+    if batch < 1 then usage_exit "--batch must be positive";
+    check_inject_exit inject_fraction;
+    resolve_store_exit store_flags;
+    if flush_every < 0 || flush_ticks < 0 || clock_step < 0 || traces < 1
+       || events_cap < 1
+    then
+      usage_exit
+        "--flush-every/--flush-ticks/--clock-step must be non-negative; \
+         --traces/--events must be positive";
     let clock =
       if clock_step > 0 then
         Clock.read (Clock.manual ~auto_step:(Int64.of_int clock_step) ())
@@ -1173,34 +1030,18 @@ let serve_loop_cmd =
       Events.create ~clock (Events.ring ~capacity:events_cap)
     in
     Events.install event_log;
-    let g = parse_graph_exit graph_file in
+    let g = parse_serving_graph_exit graph_file in
     let n = Graph.n g in
-    if n = 0 then begin
-      Printf.eprintf "validation failure: empty graph\n";
-      exit exit_validation_failure
-    end;
-    let mmap =
-      if kind = Store_mmap then Option.map (load_mmap_exit ~graph:g) labels_file
-      else None
-    in
-    let compact =
-      if kind = Store_compact then
-        Option.map (load_compact_exit ~graph:g) labels_file
-      else None
-    in
-    let labels =
-      if mmap <> None || compact <> None then None
-      else Option.map parse_labels_exit labels_file
-    in
-    Option.iter (fun (l, _) -> structural_exit g l) labels;
+    let store = load_store_exit ~graph:g store_flags in
     (* the store kind recorded in every snapshot, next to the metrics *)
-    let store_kind = store_kind_name ~labels:(labels <> None) kind in
-    let step_budget = if budget > 0 then Some budget else None in
+    let store_kind =
+      match store with None -> "search" | Some s -> Store.kind_name s
+    in
     let registry = Metrics.create () in
-    let oracle, _cache_stats =
+    let oracle =
       build_serving_oracle ~clock ~instrument_primary:(batch = 1) ~registry
-        ~labels ~flat ~mmap ~compact ~cache_slots ~step_budget ~spot_check
-        ~quarantine_after ~inject_fraction ~inject_mode ~seed g
+        ~store ~step_budget ~spot_check ~quarantine_after ~inject_fraction
+        ~inject_mode ~seed g
     in
     let recorder = Trace.recorder ~capacity:traces in
     let backend =
@@ -1211,7 +1052,8 @@ let serve_loop_cmd =
        primary is a pure function of the pair: fault injectors and the
        flat store's distance cache mutate shared state per call. *)
     let batch_pool =
-      if batch > 1 && inject_fraction = 0.0 && cache_slots = 0 then
+      if batch > 1 && inject_fraction = 0.0 && store_flags.cache_slots = 0
+      then
         Some (Repro_par.Pool.default ())
       else None
     in
@@ -1384,22 +1226,13 @@ let serve_loop_cmd =
       [ ("reason", Events.Str !drain_reason); ("served", Events.Int !served) ];
     flush_snapshot ~final:true ();
     Events.uninstall ();
-    let s = Resilient_oracle.stats oracle in
     Format.printf
       "served %d queries (%d malformed, %d out-of-range lines skipped), \
        drained on %s; wrote %d snapshot(s)%s@."
       !served !malformed !out_of_range !drain_reason !snapshots
       (match metrics_out with None -> "" | Some p -> " under " ^ p);
-    Format.printf "stats: %a@." Resilient_oracle.pp_stats s;
-    if Resilient_oracle.quarantined oracle then
-      Format.printf "quarantined: %s@."
-        (Option.value ~default:"primary"
-           (Resilient_oracle.primary_name oracle));
-    if
-      s.Resilient_oracle.fallback_answers > 0
-      || s.Resilient_oracle.quarantines > 0
-      || s.Resilient_oracle.faults > 0
-    then exit exit_degraded
+    print_oracle_stats oracle;
+    exit_if_degraded oracle
   in
   let doc =
     "Run a long-lived query loop over a file or stdin through the resilient \
@@ -1412,10 +1245,10 @@ let serve_loop_cmd =
   in
   Cmd.v (Cmd.info "loop" ~doc)
     Term.(
-      const run $ graph_file_arg $ labels_file_opt_arg $ queries_file
-      $ flush_every $ flush_ticks $ clock_step $ traces $ events_cap $ budget
-      $ spot_check $ quarantine_after $ flat $ mmap_arg $ compact_arg
-      $ cache_slots $ inject_fraction $ inject_mode $ echo $ batch
+      const run $ graph_file_arg $ store_flags_term $ queries_arg
+      $ flush_every $ flush_ticks $ clock_step_arg $ traces_arg 16 $ events_cap
+      $ budget_arg $ spot_check_arg $ quarantine_after_arg
+      $ inject_fraction_arg $ inject_mode_arg $ echo_arg $ batch
       $ metrics_out_arg $ seed_arg $ jobs_arg)
 
 (* serve worker / serve router: the supervised sharded tier. A worker
@@ -1440,13 +1273,6 @@ let partition_arg =
         Repro_hub.Partition.Range
     & info [ "partition" ] ~docv:"SCHEME" ~doc)
 
-let clock_step_arg =
-  let doc =
-    "Manual clock step in ns per reading (0 = monotonic wall clock); with \
-     it, metrics snapshots are byte-identical across same-seed runs."
-  in
-  Arg.(value & opt int 0 & info [ "clock-step" ] ~docv:"NS" ~doc)
-
 let serve_worker_cmd =
   let shard =
     let doc = "This worker's shard index (in [0, shards))." in
@@ -1460,66 +1286,30 @@ let serve_worker_cmd =
     in
     Arg.(value & opt (some string) None & info [ "chaos" ] ~docv:"PLAN" ~doc)
   in
-  let budget =
-    let doc = "Per-query step budget; 0 means unlimited." in
-    Arg.(value & opt int 0 & info [ "budget" ] ~docv:"B" ~doc)
-  in
-  let spot_check =
-    let doc = "Spot-check every K-th primary answer (0 disables)." in
-    Arg.(value & opt int 1 & info [ "spot-check-every" ] ~docv:"K" ~doc)
-  in
-  let quarantine_after =
-    let doc = "Quarantine the primary after this many strikes." in
-    Arg.(value & opt int 3 & info [ "quarantine-after" ] ~docv:"Q" ~doc)
-  in
-  let run graph_file labels_file shards shard partition chaos budget spot_check
-      quarantine_after clock_step mmap compact seed =
-    if shards < 1 || shard < 0 || shard >= shards then begin
-      Printf.eprintf "hubhard: need 0 <= --shard < --shards\n";
-      exit 124
-    end;
-    let kind = resolve_store_kind ~mmap ~compact ~labels_file () in
+  let run graph_file store_flags shards shard partition chaos step_budget
+      spot_check quarantine_after clock_step seed =
+    if shards < 1 || shard < 0 || shard >= shards then
+      usage_exit "need 0 <= --shard < --shards";
+    resolve_store_exit store_flags;
     let chaos =
-      match chaos with
-      | None -> None
-      | Some s -> (
+      Option.map
+        (fun s ->
           match Fault_injector.chaos_of_string s with
-          | Ok c -> Some c
-          | Error msg ->
-              Printf.eprintf "hubhard: %s\n" msg;
-              exit 124)
+          | Ok c -> c
+          | Error msg -> usage_exit msg)
+        chaos
     in
-    let g = parse_graph_exit graph_file in
-    if Graph.n g = 0 then begin
-      Printf.eprintf "validation failure: empty graph\n";
-      exit exit_validation_failure
-    end;
-    let mmap =
-      if kind = Store_mmap then Option.map (load_mmap_exit ~graph:g) labels_file
-      else None
-    in
-    let compact =
-      if kind = Store_compact then
-        Option.map (load_compact_exit ~graph:g) labels_file
-      else None
-    in
-    let labels =
-      if mmap <> None || compact <> None then None
-      else Option.map parse_labels_exit labels_file
-    in
-    Option.iter (fun (l, _) -> structural_exit g l) labels;
+    let g = parse_serving_graph_exit graph_file in
     let cfg =
       {
         Worker.graph = g;
-        labels = Option.map fst labels;
-        mmap;
-        compact;
+        store = load_store_exit ~graph:g store_flags;
         shards;
         shard;
         partition;
         spot_check_every = spot_check;
         quarantine_after;
-        step_budget = (if budget > 0 then Some budget else None);
+        step_budget;
         chaos;
         clock_step =
           (if clock_step > 0 then Some (Int64.of_int clock_step) else None);
@@ -1536,279 +1326,260 @@ let serve_worker_cmd =
   in
   Cmd.v (Cmd.info "worker" ~doc)
     Term.(
-      const run $ graph_file_arg $ labels_file_opt_arg $ shards_arg ~default:1
-      $ shard $ partition_arg $ chaos $ budget $ spot_check $ quarantine_after
-      $ clock_step_arg $ mmap_arg $ compact_arg $ seed_arg)
+      const run $ graph_file_arg $ shard_store_flags_term
+      $ shards_arg ~default:1 $ shard $ partition_arg $ chaos $ budget_arg
+      $ spot_check_arg $ quarantine_after_arg $ clock_step_arg $ seed_arg)
+
+(* ----- router | trace: one fleet setup ----------------------------- *)
+
+let shard_chaos_arg =
+  let doc =
+    "Per-shard chaos plan '<shard>:<fault>@<frames>' (repeatable), applied \
+     to that shard's initial worker — chaos paths (retries, backoff, \
+     degraded recomputes) are exactly what serve trace's trees make \
+     visible."
+  in
+  Arg.(value & opt_all string [] & info [ "chaos" ] ~docv:"S:PLAN" ~doc)
+
+let router_batch_arg =
+  let doc =
+    "Pairs per router batch; restarts happen only at batch boundaries, so \
+     a mid-batch crash degrades at most one batch of its partition (serve \
+     trace records one trace tree per batch)."
+  in
+  Arg.(value & opt int 64 & info [ "batch" ] ~docv:"N" ~doc)
+
+let deadline_ms_arg =
+  let doc = "Per-request deadline in milliseconds." in
+  Arg.(value & opt int 2000 & info [ "deadline-ms" ] ~docv:"MS" ~doc)
+
+let max_restarts_arg =
+  let doc = "Restart budget per shard before quarantine." in
+  Arg.(value & opt int 3 & info [ "max-restarts" ] ~docv:"R" ~doc)
+
+let backoff_ms_arg =
+  let doc = "Base restart backoff in milliseconds (doubles per restart)." in
+  Arg.(value & opt int 50 & info [ "backoff-ms" ] ~docv:"MS" ~doc)
+
+let worker_exe_arg =
+  let doc =
+    "Spawn workers by exec'ing $(docv) ('serve worker' is appended) \
+     instead of forking in-process."
+  in
+  Arg.(value & opt (some string) None & info [ "worker-exe" ] ~docv:"EXE" ~doc)
+
+(* The fleet flags router and trace share; usage errors exit 124 in
+   [fleet_of_flags], before any input is read. *)
+type fleet_flags = {
+  shards : int;
+  partition : Repro_hub.Partition.spec;
+  chaos : string list;
+  batch : int;
+  deadline_ms : int;
+  max_restarts : int;
+  backoff_ms : int;
+  worker_exe : string option;
+  spot_check : int;
+  clock_step : int;
+}
+
+let fleet_flags_term ~shards =
+  Term.(
+    const
+      (fun shards partition chaos batch deadline_ms max_restarts backoff_ms
+           worker_exe spot_check clock_step ->
+        { shards; partition; chaos; batch; deadline_ms; max_restarts;
+          backoff_ms; worker_exe; spot_check; clock_step })
+    $ shards_arg ~default:shards $ partition_arg $ shard_chaos_arg
+    $ router_batch_arg $ deadline_ms_arg $ max_restarts_arg $ backoff_ms_arg
+    $ worker_exe_arg $ spot_check_arg $ clock_step_arg)
+
+let parse_shard_chaos_exit ~shards =
+  List.map (fun s ->
+      match String.index_opt s ':' with
+      | None ->
+          usage_exit
+            (Printf.sprintf "--chaos %S: expected <shard>:<fault>@<frames>" s)
+      | Some i -> (
+          let shard = String.sub s 0 i
+          and plan = String.sub s (i + 1) (String.length s - i - 1) in
+          match
+            (int_of_string_opt shard, Fault_injector.chaos_of_string plan)
+          with
+          | Some sh, Ok c when sh >= 0 && sh < shards -> (sh, c)
+          | Some _, Ok _ ->
+              usage_exit (Printf.sprintf "--chaos %S: shard out of range" s)
+          | None, _ ->
+              usage_exit (Printf.sprintf "--chaos %S: bad shard index" s)
+          | _, Error msg -> usage_exit msg))
+
+(* The router config for [store]. Exec-spawned workers get the same
+   store flags on their own command line and load the file themselves;
+   the OS page cache still keeps one physical copy fleet-wide. *)
+let router_config ~graph_file ~store_flags:sf ~store ~seed ~chaos g f =
+  let spawn =
+    match f.worker_exe with
+    | None -> Router.Fork
+    | Some exe ->
+        Router.Exec
+          (fun ~shard ->
+            Array.of_list
+              ([
+                 exe; "serve"; "worker"; "--graph-file"; graph_file;
+                 "--shards"; string_of_int f.shards;
+                 "--shard"; string_of_int shard;
+                 "--partition"; Repro_hub.Partition.string_of_spec f.partition;
+                 "--spot-check-every"; string_of_int f.spot_check;
+                 "--clock-step"; string_of_int f.clock_step;
+                 "--seed"; string_of_int seed;
+               ]
+              @ (match sf.labels_file with
+                | Some file -> [ "--labels-file"; file ]
+                | None -> [])
+              @ (if sf.mmap then [ "--mmap" ] else [])
+              @ (if sf.compact then [ "--compact" ] else [])
+              @
+              match List.assoc_opt shard chaos with
+              | Some c -> [ "--chaos"; Fault_injector.chaos_to_string c ]
+              | None -> []))
+  in
+  let cfg =
+    {
+      (Router.default_config g) with
+      Router.shards = f.shards;
+      partition = f.partition;
+      supervisor =
+        {
+          Supervisor.default_config with
+          deadline_ns = Int64.of_int (f.deadline_ms * 1_000_000);
+          max_restarts = f.max_restarts;
+          base_backoff_ns = Int64.of_int (f.backoff_ms * 1_000_000);
+        };
+      spot_check_every = f.spot_check;
+      chaos;
+      clock_step =
+        (if f.clock_step > 0 then Some (Int64.of_int f.clock_step) else None);
+      seed;
+      spawn;
+    }
+  in
+  match store with
+  | None -> cfg
+  | Some (Store.Assoc l) -> { cfg with labels = Some l }
+  | Some (Store.Flat s) -> { cfg with labels = Some (Flat_hub.to_labels s) }
+  | Some (Store.Mmap m) -> { cfg with mmap = Some m }
+  | Some (Store.Compact c) -> { cfg with compact = Some c }
+
+(* Everything router and trace do before Router.create, in the order
+   that keeps usage errors (124) ahead of parse (10) and validation
+   (11) failures. *)
+let setup_fleet_exit ~graph_file ~store_flags ~ops ~seed f =
+  if f.shards < 1 || f.batch < 1 || f.deadline_ms < 1 || f.max_restarts < 0
+     || f.backoff_ms < 0 || f.clock_step < 0
+  then
+    usage_exit
+      "need --shards/--batch/--deadline-ms positive, \
+       --max-restarts/--backoff-ms/--clock-step non-negative";
+  resolve_store_exit store_flags;
+  let op_reqs = parse_ops_exit ops in
+  let chaos = parse_shard_chaos_exit ~shards:f.shards f.chaos in
+  let g = parse_serving_graph_exit graph_file in
+  validate_ops_exit ~n:(Graph.n g) op_reqs;
+  let store = load_store_exit ~graph:g store_flags in
+  Events.install (Events.create (Events.ring ~capacity:64));
+  (g, op_reqs, router_config ~graph_file ~store_flags ~store ~seed ~chaos g f)
+
+(* Feed the 'u v' stream to the router in batches; malformed and
+   out-of-range lines are skipped and counted. With --op and no
+   explicit --queries there is no stream. *)
+let route_stream_exit router ~n ~batch ~queries_file ~op_reqs on_answer =
+  let ic =
+    if queries_file = "-" then if op_reqs <> [] then None else Some stdin
+    else
+      match open_in queries_file with
+      | ic -> Some ic
+      | exception Sys_error msg ->
+          Printf.eprintf "error: %s\n" msg;
+          exit exit_parse_failure
+  in
+  let skipped = ref 0 in
+  let pending = ref [] and pending_n = ref 0 in
+  let flush_batch () =
+    if !pending_n > 0 then begin
+      let arr = Array.of_list (List.rev !pending) in
+      pending := [];
+      pending_n := 0;
+      Array.iteri
+        (fun i a -> on_answer arr.(i) a)
+        (Router.query_batch router arr)
+    end
+  in
+  Option.iter
+    (fun ic ->
+      (try
+         while true do
+           let line = String.trim (input_line ic) in
+           if line <> "" && line.[0] <> '#' then
+             match Scanf.sscanf line " %d %d" (fun u v -> (u, v)) with
+             | exception _ -> incr skipped
+             | u, v ->
+                 if u < 0 || u >= n || v < 0 || v >= n then incr skipped
+                 else begin
+                   pending := (u, v) :: !pending;
+                   incr pending_n;
+                   if !pending_n >= batch then flush_batch ()
+                 end
+         done
+       with End_of_file -> ());
+      if ic != stdin then close_in ic)
+    ic;
+  flush_batch ();
+  !skipped
+
+let write_merged_metrics router =
+  Option.iter (fun path ->
+      write_file path (Metrics.to_json (Router.merged_snapshot router)))
 
 let serve_router_cmd =
-  let queries_file =
-    let doc =
-      "Query stream: one 'u v' pair per line ('-' for stdin; blank lines and \
-       '#' comments skipped). With --op and no explicit --queries, the \
-       stream is skipped entirely."
-    in
-    Arg.(value & opt string "-" & info [ "queries" ] ~docv:"FILE" ~doc)
-  in
-  let ops =
-    let doc =
-      "Aggregate operation (repeatable, same forms as 'serve query --op'), \
-       fanned out to the owning shards and merged; a dead shard's share is \
-       served exactly by the router's local fallback (marked degraded)."
-    in
-    Arg.(value & opt_all string [] & info [ "op" ] ~docv:"OP" ~doc)
-  in
-  let chaos =
-    let doc =
-      "Per-shard chaos plan '<shard>:<fault>@<frames>' (repeatable), applied \
-       to that shard's initial worker."
-    in
-    Arg.(value & opt_all string [] & info [ "chaos" ] ~docv:"S:PLAN" ~doc)
-  in
-  let batch =
-    let doc =
-      "Pairs per router batch; restarts happen only at batch boundaries, so \
-       a mid-batch crash degrades at most one batch of its partition."
-    in
-    Arg.(value & opt int 64 & info [ "batch" ] ~docv:"N" ~doc)
-  in
-  let deadline_ms =
-    let doc = "Per-request deadline in milliseconds." in
-    Arg.(value & opt int 2000 & info [ "deadline-ms" ] ~docv:"MS" ~doc)
-  in
-  let max_restarts =
-    let doc = "Restart budget per shard before quarantine." in
-    Arg.(value & opt int 3 & info [ "max-restarts" ] ~docv:"R" ~doc)
-  in
-  let backoff_ms =
-    let doc = "Base restart backoff in milliseconds (doubles per restart)." in
-    Arg.(value & opt int 50 & info [ "backoff-ms" ] ~docv:"MS" ~doc)
-  in
-  let worker_exe =
-    let doc =
-      "Spawn workers by exec'ing $(docv) ('serve worker' is appended) \
-       instead of forking in-process."
-    in
-    Arg.(value & opt (some string) None & info [ "worker-exe" ] ~docv:"EXE" ~doc)
-  in
-  let echo =
-    let doc = "Print each answer as 'u v dist source' (off by default)." in
-    Arg.(value & flag & info [ "echo" ] ~doc)
-  in
-  let spot_check =
-    let doc = "Per-worker spot-check cadence (0 disables)." in
-    Arg.(value & opt int 1 & info [ "spot-check-every" ] ~docv:"K" ~doc)
-  in
-  let run graph_file labels_file queries_file ops shards partition chaos batch
-      deadline_ms max_restarts backoff_ms worker_exe echo spot_check clock_step
-      mmap compact metrics_out seed =
-    if shards < 1 || batch < 1 || deadline_ms < 1 || max_restarts < 0
-       || backoff_ms < 0 || clock_step < 0
-    then begin
-      Printf.eprintf
-        "hubhard: need --shards/--batch/--deadline-ms positive, \
-         --max-restarts/--backoff-ms/--clock-step non-negative\n";
-      exit 124
-    end;
-    let kind = resolve_store_kind ~mmap ~compact ~labels_file () in
-    let op_reqs =
-      List.map
-        (fun s ->
-          match Ops.request_of_string s with
-          | Ok r -> r
-          | Error msg ->
-              Printf.eprintf "hubhard: --op %S: %s\n" s msg;
-              exit 124)
-        ops
-    in
-    let chaos =
-      List.map
-        (fun s ->
-          match String.index_opt s ':' with
-          | None ->
-              Printf.eprintf
-                "hubhard: --chaos %S: expected <shard>:<fault>@<frames>\n" s;
-              exit 124
-          | Some i -> (
-              let shard = String.sub s 0 i
-              and plan = String.sub s (i + 1) (String.length s - i - 1) in
-              match
-                (int_of_string_opt shard, Fault_injector.chaos_of_string plan)
-              with
-              | Some sh, Ok c when sh >= 0 && sh < shards -> (sh, c)
-              | Some _, Ok _ ->
-                  Printf.eprintf "hubhard: --chaos %S: shard out of range\n" s;
-                  exit 124
-              | None, _ ->
-                  Printf.eprintf "hubhard: --chaos %S: bad shard index\n" s;
-                  exit 124
-              | _, Error msg ->
-                  Printf.eprintf "hubhard: %s\n" msg;
-                  exit 124))
-        chaos
-    in
-    let g = parse_graph_exit graph_file in
-    let n = Graph.n g in
-    if n = 0 then begin
-      Printf.eprintf "validation failure: empty graph\n";
-      exit exit_validation_failure
-    end;
-    List.iter
-      (fun r ->
-        match Ops.validate ~n r with
-        | Ok () -> ()
-        | Error msg ->
-            Printf.eprintf "validation failure: %s\n" msg;
-            exit exit_validation_failure)
-      op_reqs;
-    let mmap_store =
-      if kind = Store_mmap then Option.map (load_mmap_exit ~graph:g) labels_file
-      else None
-    in
-    let compact_store =
-      if kind = Store_compact then
-        Option.map (load_compact_exit ~graph:g) labels_file
-      else None
-    in
-    let labels =
-      if mmap_store <> None || compact_store <> None then None
-      else Option.map parse_labels_exit labels_file
-    in
-    Option.iter (fun (l, _) -> structural_exit g l) labels;
-    let event_log = Events.create (Events.ring ~capacity:64) in
-    Events.install event_log;
-    let spawn =
-      match worker_exe with
-      | None -> Router.Fork
-      | Some exe ->
-          Router.Exec
-            (fun ~shard ->
-              let base =
-                [
-                  exe; "serve"; "worker"; "--graph-file"; graph_file;
-                  "--shards"; string_of_int shards;
-                  "--shard"; string_of_int shard;
-                  "--partition"; Repro_hub.Partition.string_of_spec partition;
-                  "--spot-check-every"; string_of_int spot_check;
-                  "--clock-step"; string_of_int clock_step;
-                  "--seed"; string_of_int seed;
-                ]
-              in
-              let base =
-                match labels_file with
-                | Some f -> base @ [ "--labels-file"; f ]
-                | None -> base
-              in
-              (* exec'd workers map the packed file themselves; the OS
-                 page cache still keeps one physical copy fleet-wide *)
-              let base = if mmap then base @ [ "--mmap" ] else base in
-              let base = if compact then base @ [ "--compact" ] else base in
-              let base =
-                match List.assoc_opt shard chaos with
-                | Some c ->
-                    base @ [ "--chaos"; Fault_injector.chaos_to_string c ]
-                | None -> base
-              in
-              Array.of_list base)
-    in
-    let cfg =
-      {
-        (Router.default_config g) with
-        labels = Option.map fst labels;
-        mmap = mmap_store;
-        compact = compact_store;
-        shards;
-        partition;
-        supervisor =
-          {
-            Supervisor.default_config with
-            deadline_ns = Int64.of_int (deadline_ms * 1_000_000);
-            max_restarts;
-            base_backoff_ns = Int64.of_int (backoff_ms * 1_000_000);
-          };
-        spot_check_every = spot_check;
-        chaos;
-        clock_step =
-          (if clock_step > 0 then Some (Int64.of_int clock_step) else None);
-        seed;
-        spawn;
-      }
+  let run graph_file store_flags queries_file ops fleet echo metrics_out seed =
+    let g, op_reqs, cfg =
+      setup_fleet_exit ~graph_file ~store_flags ~ops ~seed fleet
     in
     let router, spawn_span =
       Span.profile ~name:"router.spawn" (fun () -> Router.create cfg)
     in
-    let ic =
-      if queries_file = "-" then
-        if op_reqs <> [] then None (* --op alone: no query stream *)
-        else Some stdin
-      else
-        match open_in queries_file with
-        | ic -> Some ic
-        | exception Sys_error msg ->
-            Printf.eprintf "error: %s\n" msg;
-            exit exit_parse_failure
+    let served = ref 0 and degraded = ref 0 in
+    let count (a_degraded : bool) =
+      incr served;
+      if a_degraded then incr degraded
     in
-    let served = ref 0 and degraded = ref 0 and skipped = ref 0 in
-    let pending = ref [] and pending_n = ref 0 in
-    let flush_batch () =
-      if !pending_n > 0 then begin
-        let arr = Array.of_list (List.rev !pending) in
-        pending := [];
-        pending_n := 0;
-        let answers = Router.query_batch router arr in
-        Array.iteri
-          (fun i (a : Router.answer) ->
-            let u, v = arr.(i) in
-            incr served;
-            if a.Router.degraded then incr degraded;
-            if echo then
-              Format.printf "%d %d %a %s%s@." u v Dist.pp a.Router.dist
-                (Wire.name_of_source_code a.Router.source)
-                (if a.Router.degraded then " degraded" else ""))
-          answers
-      end
+    let skipped =
+      route_stream_exit router ~n:(Graph.n g) ~batch:fleet.batch ~queries_file
+        ~op_reqs (fun (u, v) (a : Router.answer) ->
+          count a.Router.degraded;
+          if echo then
+            Format.printf "%d %d %a %s%s@." u v Dist.pp a.Router.dist
+              (Wire.name_of_source_code a.Router.source)
+              (if a.Router.degraded then " degraded" else ""))
     in
-    Option.iter
-      (fun ic ->
-        (try
-           while true do
-             let line = String.trim (input_line ic) in
-             if line <> "" && line.[0] <> '#' then
-               match Scanf.sscanf line " %d %d" (fun u v -> (u, v)) with
-               | exception _ -> incr skipped
-               | u, v ->
-                   if u < 0 || u >= n || v < 0 || v >= n then incr skipped
-                   else begin
-                     pending := (u, v) :: !pending;
-                     incr pending_n;
-                     if !pending_n >= batch then flush_batch ()
-                   end
-           done
-         with End_of_file -> ());
-        if ic != stdin then close_in ic)
-      ic;
-    flush_batch ();
     List.iter
       (fun req ->
         let r = Router.op router req in
-        incr served;
-        if r.Router.degraded then incr degraded;
+        count r.Router.degraded;
         Format.printf "%s -> %s %s%s@."
           (Ops.request_to_string req)
           (Ops.response_to_string r.Router.response)
           (Wire.name_of_source_code r.Router.source)
           (if r.Router.degraded then " degraded" else ""))
       op_reqs;
-    (match metrics_out with
-    | None -> ()
-    | Some path ->
-        write_file path (Metrics.to_json (Router.merged_snapshot router)));
+    write_merged_metrics router metrics_out;
     let sup = Router.supervisor router in
     Format.printf
       "served %d queries over %d shard(s) (%d degraded, %d lines skipped); \
        spawn took %Ldns@."
-      !served shards !degraded !skipped
+      !served fleet.shards !degraded skipped
       (Span.total_ns spawn_span);
-    for s = 0 to shards - 1 do
+    for s = 0 to fleet.shards - 1 do
       Format.printf "shard %d: %s, %d restart(s)@." s
         (Supervisor.state_name (Supervisor.state sup s))
         (Supervisor.restarts_used sup s)
@@ -1827,62 +1598,11 @@ let serve_router_cmd =
   in
   Cmd.v (Cmd.info "router" ~doc)
     Term.(
-      const run $ graph_file_arg $ labels_file_opt_arg $ queries_file $ ops
-      $ shards_arg ~default:2 $ partition_arg $ chaos $ batch $ deadline_ms
-      $ max_restarts $ backoff_ms $ worker_exe $ echo $ spot_check
-      $ clock_step_arg $ mmap_arg $ compact_arg $ metrics_out_arg $ seed_arg)
+      const run $ graph_file_arg $ shard_store_flags_term $ queries_arg
+      $ ops_arg $ fleet_flags_term ~shards:2 $ echo_arg $ metrics_out_arg
+      $ seed_arg)
 
 let serve_trace_cmd =
-  let queries_file =
-    let doc =
-      "Query stream: one 'u v' pair per line ('-' for stdin; blank lines and \
-       '#' comments skipped). With --op and no explicit --queries, the \
-       stream is skipped entirely."
-    in
-    Arg.(value & opt string "-" & info [ "queries" ] ~docv:"FILE" ~doc)
-  in
-  let ops =
-    let doc =
-      "Aggregate operation (repeatable, same forms as 'serve query --op'), \
-       fanned out and traced like any query."
-    in
-    Arg.(value & opt_all string [] & info [ "op" ] ~docv:"OP" ~doc)
-  in
-  let chaos =
-    let doc =
-      "Per-shard chaos plan '<shard>:<fault>@<frames>' (repeatable), applied \
-       to that shard's initial worker — chaos paths (retries, backoff, \
-       degraded recomputes) are exactly what the trace trees make visible."
-    in
-    Arg.(value & opt_all string [] & info [ "chaos" ] ~docv:"S:PLAN" ~doc)
-  in
-  let batch =
-    let doc = "Pairs per router batch (one trace tree per batch)." in
-    Arg.(value & opt int 64 & info [ "batch" ] ~docv:"N" ~doc)
-  in
-  let deadline_ms =
-    let doc = "Per-request deadline in milliseconds." in
-    Arg.(value & opt int 2000 & info [ "deadline-ms" ] ~docv:"MS" ~doc)
-  in
-  let max_restarts =
-    let doc = "Restart budget per shard before quarantine." in
-    Arg.(value & opt int 3 & info [ "max-restarts" ] ~docv:"R" ~doc)
-  in
-  let backoff_ms =
-    let doc = "Base restart backoff in milliseconds (doubles per restart)." in
-    Arg.(value & opt int 50 & info [ "backoff-ms" ] ~docv:"MS" ~doc)
-  in
-  let worker_exe =
-    let doc =
-      "Spawn workers by exec'ing $(docv) ('serve worker' is appended) \
-       instead of forking in-process."
-    in
-    Arg.(value & opt (some string) None & info [ "worker-exe" ] ~docv:"EXE" ~doc)
-  in
-  let spot_check =
-    let doc = "Per-worker spot-check cadence (0 disables)." in
-    Arg.(value & opt int 1 & info [ "spot-check-every" ] ~docv:"K" ~doc)
-  in
   let trace_sample =
     let doc =
       "Head-sample 1 in $(docv) traces (deterministic hash of the trace \
@@ -1915,138 +1635,16 @@ let serve_trace_cmd =
     in
     Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
   in
-  let run graph_file labels_file queries_file ops shards partition chaos batch
-      deadline_ms max_restarts backoff_ms worker_exe spot_check trace_sample
-      slow_ms trace_format trace_out clock_step mmap compact metrics_out seed =
-    if shards < 1 || batch < 1 || deadline_ms < 1 || max_restarts < 0
-       || backoff_ms < 0 || clock_step < 0 || trace_sample < 1 || slow_ms < 0
-    then begin
-      Printf.eprintf
-        "hubhard: need --shards/--batch/--deadline-ms/--trace-sample \
-         positive, --max-restarts/--backoff-ms/--clock-step/--slow-ms \
-         non-negative\n";
-      exit 124
-    end;
-    let kind = resolve_store_kind ~mmap ~compact ~labels_file () in
-    let op_reqs =
-      List.map
-        (fun s ->
-          match Ops.request_of_string s with
-          | Ok r -> r
-          | Error msg ->
-              Printf.eprintf "hubhard: --op %S: %s\n" s msg;
-              exit 124)
-        ops
-    in
-    let chaos =
-      List.map
-        (fun s ->
-          match String.index_opt s ':' with
-          | None ->
-              Printf.eprintf
-                "hubhard: --chaos %S: expected <shard>:<fault>@<frames>\n" s;
-              exit 124
-          | Some i -> (
-              let shard = String.sub s 0 i
-              and plan = String.sub s (i + 1) (String.length s - i - 1) in
-              match
-                (int_of_string_opt shard, Fault_injector.chaos_of_string plan)
-              with
-              | Some sh, Ok c when sh >= 0 && sh < shards -> (sh, c)
-              | Some _, Ok _ ->
-                  Printf.eprintf "hubhard: --chaos %S: shard out of range\n" s;
-                  exit 124
-              | None, _ ->
-                  Printf.eprintf "hubhard: --chaos %S: bad shard index\n" s;
-                  exit 124
-              | _, Error msg ->
-                  Printf.eprintf "hubhard: %s\n" msg;
-                  exit 124))
-        chaos
-    in
-    let g = parse_graph_exit graph_file in
-    let n = Graph.n g in
-    if n = 0 then begin
-      Printf.eprintf "validation failure: empty graph\n";
-      exit exit_validation_failure
-    end;
-    List.iter
-      (fun r ->
-        match Ops.validate ~n r with
-        | Ok () -> ()
-        | Error msg ->
-            Printf.eprintf "validation failure: %s\n" msg;
-            exit exit_validation_failure)
-      op_reqs;
-    let mmap_store =
-      if kind = Store_mmap then Option.map (load_mmap_exit ~graph:g) labels_file
-      else None
-    in
-    let compact_store =
-      if kind = Store_compact then
-        Option.map (load_compact_exit ~graph:g) labels_file
-      else None
-    in
-    let labels =
-      if mmap_store <> None || compact_store <> None then None
-      else Option.map parse_labels_exit labels_file
-    in
-    Option.iter (fun (l, _) -> structural_exit g l) labels;
-    let event_log = Events.create (Events.ring ~capacity:64) in
-    Events.install event_log;
-    let spawn =
-      match worker_exe with
-      | None -> Router.Fork
-      | Some exe ->
-          Router.Exec
-            (fun ~shard ->
-              let base =
-                [
-                  exe; "serve"; "worker"; "--graph-file"; graph_file;
-                  "--shards"; string_of_int shards;
-                  "--shard"; string_of_int shard;
-                  "--partition"; Repro_hub.Partition.string_of_spec partition;
-                  "--spot-check-every"; string_of_int spot_check;
-                  "--clock-step"; string_of_int clock_step;
-                  "--seed"; string_of_int seed;
-                ]
-              in
-              let base =
-                match labels_file with
-                | Some f -> base @ [ "--labels-file"; f ]
-                | None -> base
-              in
-              let base = if mmap then base @ [ "--mmap" ] else base in
-              let base = if compact then base @ [ "--compact" ] else base in
-              let base =
-                match List.assoc_opt shard chaos with
-                | Some c ->
-                    base @ [ "--chaos"; Fault_injector.chaos_to_string c ]
-                | None -> base
-              in
-              Array.of_list base)
+  let run graph_file store_flags queries_file ops fleet trace_sample slow_ms
+      trace_format trace_out metrics_out seed =
+    if trace_sample < 1 || slow_ms < 0 then
+      usage_exit "need --trace-sample positive, --slow-ms non-negative";
+    let g, op_reqs, cfg =
+      setup_fleet_exit ~graph_file ~store_flags ~ops ~seed fleet
     in
     let cfg =
       {
-        (Router.default_config g) with
-        labels = Option.map fst labels;
-        mmap = mmap_store;
-        compact = compact_store;
-        shards;
-        partition;
-        supervisor =
-          {
-            Supervisor.default_config with
-            deadline_ns = Int64.of_int (deadline_ms * 1_000_000);
-            max_restarts;
-            base_backoff_ns = Int64.of_int (backoff_ms * 1_000_000);
-          };
-        spot_check_every = spot_check;
-        chaos;
-        clock_step =
-          (if clock_step > 0 then Some (Int64.of_int clock_step) else None);
-        seed;
-        spawn;
+        cfg with
         trace =
           Some
             {
@@ -2057,58 +1655,16 @@ let serve_trace_cmd =
       }
     in
     let router = Router.create cfg in
-    let ic =
-      if queries_file = "-" then
-        if op_reqs <> [] then None
-        else Some stdin
-      else
-        match open_in queries_file with
-        | ic -> Some ic
-        | exception Sys_error msg ->
-            Printf.eprintf "error: %s\n" msg;
-            exit exit_parse_failure
+    let served = ref 0 and degraded = ref 0 in
+    let count (a_degraded : bool) =
+      incr served;
+      if a_degraded then incr degraded
     in
-    let served = ref 0 and degraded = ref 0 and skipped = ref 0 in
-    let pending = ref [] and pending_n = ref 0 in
-    let flush_batch () =
-      if !pending_n > 0 then begin
-        let arr = Array.of_list (List.rev !pending) in
-        pending := [];
-        pending_n := 0;
-        let answers = Router.query_batch router arr in
-        Array.iter
-          (fun (a : Router.answer) ->
-            incr served;
-            if a.Router.degraded then incr degraded)
-          answers
-      end
+    let skipped =
+      route_stream_exit router ~n:(Graph.n g) ~batch:fleet.batch ~queries_file
+        ~op_reqs (fun _ (a : Router.answer) -> count a.Router.degraded)
     in
-    Option.iter
-      (fun ic ->
-        (try
-           while true do
-             let line = String.trim (input_line ic) in
-             if line <> "" && line.[0] <> '#' then
-               match Scanf.sscanf line " %d %d" (fun u v -> (u, v)) with
-               | exception _ -> incr skipped
-               | u, v ->
-                   if u < 0 || u >= n || v < 0 || v >= n then incr skipped
-                   else begin
-                     pending := (u, v) :: !pending;
-                     incr pending_n;
-                     if !pending_n >= batch then flush_batch ()
-                   end
-           done
-         with End_of_file -> ());
-        if ic != stdin then close_in ic)
-      ic;
-    flush_batch ();
-    List.iter
-      (fun req ->
-        let r = Router.op router req in
-        incr served;
-        if r.Router.degraded then incr degraded)
-      op_reqs;
+    List.iter (fun req -> count (Router.op router req).Router.degraded) op_reqs;
     let trees = Router.trace_trees router in
     let rendered =
       let buf = Buffer.create 4096 in
@@ -2130,17 +1686,12 @@ let serve_trace_cmd =
       Buffer.contents buf
     in
     print_string rendered;
-    (match trace_out with
-    | None -> ()
-    | Some path -> write_file path rendered);
-    (match metrics_out with
-    | None -> ()
-    | Some path ->
-        write_file path (Metrics.to_json (Router.merged_snapshot router)));
+    Option.iter (fun path -> write_file path rendered) trace_out;
+    write_merged_metrics router metrics_out;
     Format.printf
       "traced %d queries over %d shard(s): %d trace tree(s) (%d degraded, \
        %d lines skipped)@."
-      !served shards (List.length trees) !degraded !skipped;
+      !served fleet.shards (List.length trees) !degraded skipped;
     Router.shutdown router;
     Events.uninstall ();
     if !degraded > 0 then exit exit_degraded
@@ -2157,11 +1708,9 @@ let serve_trace_cmd =
   in
   Cmd.v (Cmd.info "trace" ~doc)
     Term.(
-      const run $ graph_file_arg $ labels_file_opt_arg $ queries_file $ ops
-      $ shards_arg ~default:3 $ partition_arg $ chaos $ batch $ deadline_ms
-      $ max_restarts $ backoff_ms $ worker_exe $ spot_check $ trace_sample
-      $ slow_ms $ trace_format $ trace_out $ clock_step_arg $ mmap_arg
-      $ compact_arg $ metrics_out_arg $ seed_arg)
+      const run $ graph_file_arg $ shard_store_flags_term $ queries_arg
+      $ ops_arg $ fleet_flags_term ~shards:3 $ trace_sample $ slow_ms
+      $ trace_format $ trace_out $ metrics_out_arg $ seed_arg)
 
 let serve_cmd =
   let doc =

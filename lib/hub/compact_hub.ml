@@ -69,15 +69,7 @@ let error_to_string = function
 
 exception Bad of error
 
-type cache = {
-  slots : int;
-  keys : int array; (* packed unordered pair, or -1 for an empty slot *)
-  values : int array;
-  mutable hits : int;
-  mutable misses : int;
-}
-
-type t = {
+type raw = {
   n : int;
   total : int;
   block : int;
@@ -88,16 +80,7 @@ type t = {
   blob_base : int; (* byte index of the blob inside [buf] *)
   path : string; (* "" for a store decoded from in-memory bytes *)
   bytes : int;
-  cache : cache option;
 }
-
-let make_cache = function
-  | 0 -> None
-  | s when s < 0 -> invalid_arg "Compact_hub: cache_slots must be non-negative"
-  | s ->
-      Some
-        { slots = s; keys = Array.make s (-1); values = Array.make s 0;
-          hits = 0; misses = 0 }
 
 let magic = "HUBFLAT2"
 let default_block = 32
@@ -264,7 +247,7 @@ let decode_offsets buf ~first_word ~count ~limit ~what =
     Ok out
   with Bad e -> Error e
 
-let validate ~path ~bytes (buf : buf) ~cache =
+let validate ~path ~bytes (buf : buf) =
   let ( let* ) = Result.bind in
   if bytes < min_bytes then Error (Too_short { bytes })
   else if bytes mod 8 <> 0 then Error (Misaligned { bytes })
@@ -335,7 +318,7 @@ let validate ~path ~bytes (buf : buf) ~cache =
       let* () = check_room 0 in
       Ok
         { n; total; block; blob_len; ent_off; byte_off; buf;
-          blob_base = 8 * header_words n; path; bytes; cache }
+          blob_base = 8 * header_words n; path; bytes }
 
 (* ---------------------------------------------------------------- *)
 (* The clamped reader and the block-skipping two-pointer merge. All
@@ -387,7 +370,7 @@ let u32 (buf : buf) off =
   lor (Char.code (A1.unsafe_get buf (off + 2)) lsl 16)
   lor (Char.code (A1.unsafe_get buf (off + 3)) lsl 24)
 
-let cursor t v ~k =
+let cursor (t : raw) v ~k =
   let rs = t.blob_base + t.byte_off.(v) in
   let re = t.blob_base + t.byte_off.(v + 1) in
   let nb = ((k - 1) / t.block) + 1 in
@@ -491,7 +474,7 @@ let rec merge buf block a b best =
     merge buf block a b best
   end
 
-let raw_query t u v =
+let raw_query (t : raw) u v =
   let eo = t.ent_off in
   let ku = Array.unsafe_get eo (u + 1) - Array.unsafe_get eo u
   and kv = Array.unsafe_get eo (v + 1) - Array.unsafe_get eo v in
@@ -523,7 +506,7 @@ let strict_varint buf ~re ~vertex ~entry pos =
   if !cnt > 1 && !last = 0 then fail "overlong varint";
   !x
 
-let validate_entries t =
+let validate_raw_entries (t : raw) =
   try
     for v = 0 to t.n - 1 do
       let rs = t.blob_base + t.byte_off.(v) in
@@ -565,6 +548,39 @@ let validate_entries t =
     Ok ()
   with Bad e -> Error e
 
+module Raw = struct
+  type t = raw
+
+  let name = "Compact_hub"
+  let backend_name = "compact-hub-labeling"
+  let n t = t.n
+  let size t v = t.ent_off.(v + 1) - t.ent_off.(v)
+
+  let hubs t v =
+    let k = size t v in
+    if k = 0 then [||]
+    else begin
+      let c = cursor t v ~k in
+      let out = Array.make k (0, 0) in
+      out.(0) <- (c.h, c.d);
+      for i = 1 to k - 1 do
+        ignore (advance t.buf ~block:t.block c);
+        out.(i) <- (c.h, c.d)
+      done;
+      out
+    end
+
+  let raw_query = raw_query
+  let space_words t = (2 * (t.n + 1)) + ((t.blob_len + 7) / 8)
+
+  let pp_detail t =
+    Printf.sprintf "%s, n=%d, total=%d, block=%d, %dB"
+      (if t.path = "" then "<bytes>" else t.path)
+      t.n t.total t.block t.bytes
+end
+
+include Hub_store.Make (Raw)
+
 (* ---------------------------------------------------------------- *)
 (* Loading. *)
 
@@ -572,7 +588,7 @@ let finish_load ~what ~path res ~deep =
   let ( let* ) = Result.bind in
   let res =
     let* t = res in
-    let* () = if deep then validate_entries t else Ok () in
+    let* () = if deep then validate_raw_entries t else Ok () in
     Ok t
   in
   (match res with
@@ -585,7 +601,7 @@ let finish_load ~what ~path res ~deep =
   res
 
 let of_bytes_res ?(cache_slots = 0) ?(deep = false) s =
-  let cache = make_cache cache_slots in
+  let wrap = wrap ~cache_slots in
   Repro_obs.Span.run ~name:"compact-hub.parse" (fun () ->
       let bytes = String.length s in
       Repro_obs.Span.count "bytes" bytes;
@@ -593,8 +609,9 @@ let of_bytes_res ?(cache_slots = 0) ?(deep = false) s =
         A1.init Bigarray.char Bigarray.c_layout bytes (String.unsafe_get s)
       in
       finish_load ~what:"compact_hub" ~path:"<bytes>"
-        (validate ~path:"" ~bytes buf ~cache)
-        ~deep)
+        (validate ~path:"" ~bytes buf)
+        ~deep
+      |> Result.map wrap)
 
 (* open → fstat → map → close, every failure mode funnelled into a
    typed error; the fd is closed on all paths (the mapping survives). *)
@@ -625,187 +642,39 @@ let open_and_map path =
               | exception Sys_error msg -> finish (Error (Io msg)))
 
 let load_res ?(cache_slots = 0) ?(deep = false) path =
-  let cache = make_cache cache_slots in
+  let wrap = wrap ~cache_slots in
   Repro_obs.Span.run ~name:"compact-hub.load" (fun () ->
       let ( let* ) = Result.bind in
       finish_load ~what:"compact_hub" ~path
         (let* buf, bytes = open_and_map path in
          Repro_obs.Span.count "bytes" bytes;
-         validate ~path ~bytes buf ~cache)
-        ~deep)
+         validate ~path ~bytes buf)
+        ~deep
+      |> Result.map wrap)
 
 (* ---------------------------------------------------------------- *)
-(* Accessors and the public query surface. *)
+(* Accessors; the cache and query surface come from Hub_store. *)
 
-let with_cache ~cache_slots t = { t with cache = make_cache cache_slots }
-let n t = t.n
-let total_size t = t.total
-let block t = t.block
-let path t = t.path
-let bytes t = t.bytes
+let validate_entries t = validate_raw_entries (base t)
+let total_size t = (base t).total
+let block t = (base t).block
+let path t = (base t).path
+let bytes t = (base t).bytes
 
 let bits_per_entry t =
+  let t = base t in
   if t.total = 0 then 0.
   else 8. *. float_of_int t.bytes /. float_of_int t.total
 
-let size t v =
-  if v < 0 || v >= t.n then invalid_arg "Compact_hub.size";
-  t.ent_off.(v + 1) - t.ent_off.(v)
-
-let hubs t v =
-  if v < 0 || v >= t.n then invalid_arg "Compact_hub.hubs";
-  let k = t.ent_off.(v + 1) - t.ent_off.(v) in
-  if k = 0 then [||]
-  else begin
-    let c = cursor t v ~k in
-    let out = Array.make k (0, 0) in
-    out.(0) <- (c.h, c.d);
-    for i = 1 to k - 1 do
-      ignore (advance t.buf ~block:t.block c);
-      out.(i) <- (c.h, c.d)
-    done;
-    out
-  end
-
 let to_flat t =
-  let offsets = Array.copy t.ent_off in
-  let data = Array.make (2 * t.total) 0 in
-  for v = 0 to t.n - 1 do
-    let lo = t.ent_off.(v) in
+  let offsets = Array.copy (base t).ent_off in
+  let data = Array.make (2 * total_size t) 0 in
+  for v = 0 to n t - 1 do
+    let lo = offsets.(v) in
     Array.iteri
       (fun i (h, d) ->
         data.(2 * (lo + i)) <- h;
         data.((2 * (lo + i)) + 1) <- d)
       (hubs t v)
   done;
-  Flat_hub.of_raw ~n:t.n ~offsets ~data
-
-let cached_query t c u v =
-  let key = if u <= v then (u * t.n) + v else (v * t.n) + u in
-  let slot = key mod c.slots in
-  if Array.unsafe_get c.keys slot = key then begin
-    c.hits <- c.hits + 1;
-    Array.unsafe_get c.values slot
-  end
-  else begin
-    c.misses <- c.misses + 1;
-    let d = raw_query t u v in
-    Array.unsafe_set c.keys slot key;
-    Array.unsafe_set c.values slot d;
-    d
-  end
-
-let dispatch t u v =
-  match t.cache with None -> raw_query t u v | Some c -> cached_query t c u v
-
-let query t u v =
-  if u < 0 || u >= t.n || v < 0 || v >= t.n then invalid_arg "Compact_hub.query";
-  dispatch t u v
-
-let query_many ?pool t pairs =
-  Array.iter
-    (fun (u, v) ->
-      if u < 0 || u >= t.n || v < 0 || v >= t.n then
-        invalid_arg "Compact_hub.query_many")
-    pairs;
-  let m = Array.length pairs in
-  let out = Array.make m 0 in
-  (match t.cache with
-  | Some c ->
-      (* same contract as Flat_hub.query_many: the direct-mapped cache
-         is not domain-safe, so cached batches stay on the calling
-         domain with hit/miss merged once at the end *)
-      let hits = ref 0 and misses = ref 0 in
-      for k = 0 to m - 1 do
-        let u, v = Array.unsafe_get pairs k in
-        let key = if u <= v then (u * t.n) + v else (v * t.n) + u in
-        let slot = key mod c.slots in
-        let d =
-          if Array.unsafe_get c.keys slot = key then begin
-            incr hits;
-            Array.unsafe_get c.values slot
-          end
-          else begin
-            incr misses;
-            let d = raw_query t u v in
-            Array.unsafe_set c.keys slot key;
-            Array.unsafe_set c.values slot d;
-            d
-          end
-        in
-        Array.unsafe_set out k d
-      done;
-      c.hits <- c.hits + !hits;
-      c.misses <- c.misses + !misses
-  | None ->
-      (* the blob is read-only: fan the batch out *)
-      let pool =
-        match pool with Some p -> p | None -> Repro_par.Pool.default ()
-      in
-      Repro_par.Pool.parallel_for pool ~n:m (fun ~slot:_ lo hi ->
-          for k = lo to hi - 1 do
-            let u, v = Array.unsafe_get pairs k in
-            Array.unsafe_set out k (raw_query t u v)
-          done));
-  out
-
-let cache_stats t =
-  match t.cache with None -> None | Some c -> Some (c.hits, c.misses)
-
-let space_words t = (2 * (t.n + 1)) + ((t.blob_len + 7) / 8)
-
-let pp ppf t =
-  Format.fprintf ppf "compact_hub(%s, n=%d, total=%d, block=%d, %dB, cache=%s)"
-    (if t.path = "" then "<bytes>" else t.path)
-    t.n t.total t.block t.bytes
-    (match t.cache with
-    | None -> "none"
-    | Some c -> string_of_int c.slots ^ " slots")
-
-let backend_name = "compact-hub-labeling"
-
-let backend t =
-  let detailed u v =
-    if u < 0 || u >= t.n || v < 0 || v >= t.n then
-      invalid_arg "Compact_hub.query";
-    match t.cache with
-    | None ->
-        let d = raw_query t u v in
-        ( d,
-          Repro_obs.Trace.make
-            ~entries_scanned:(size t u + size t v)
-            ~source:backend_name ~u ~v ~dist:d () )
-    | Some c ->
-        let hits0 = c.hits in
-        let d = cached_query t c u v in
-        let cache =
-          if c.hits > hits0 then Repro_obs.Trace.Hit else Repro_obs.Trace.Miss
-        in
-        let scanned =
-          match cache with
-          | Repro_obs.Trace.Hit -> 0
-          | _ -> size t u + size t v
-        in
-        ( d,
-          Repro_obs.Trace.make ~entries_scanned:scanned ~cache
-            ~source:backend_name ~u ~v ~dist:d () )
-  in
-  Repro_obs.Backend.make ~name:backend_name ~space_words:(space_words t)
-    ~detailed (query t)
-
-let ops ?pool t =
-  let module Base = (val backend t : Repro_obs.Backend.S) in
-  let q = query t and h = hubs t and nn = t.n in
-  let idx = lazy (Hub_index.build ~n:nn ~hubs:h) in
-  let module B = struct
-    include Base
-
-    let op req =
-      match req with
-      | Repro_obs.Ops.Dist _ | Repro_obs.Ops.Batch _ ->
-          (* point queries decode straight off the blob and never
-             force the inverted index *)
-          Repro_obs.Ops.brute ~n:nn ~query:q req
-      | _ -> Hub_index.eval ?pool (Lazy.force idx) ~hubs:h ~query:q req
-  end in
-  (module B : Repro_obs.Backend.S_ops)
+  Flat_hub.of_raw ~n:(n t) ~offsets ~data

@@ -35,7 +35,9 @@
 
     The encoder is canonical: [to_bytes] of a given store is a single
     deterministic byte string, so save → load → save round-trips
-    byte-for-byte (pinned by a golden sha256 in the test suite). *)
+    byte-for-byte (pinned by a golden sha256 in the test suite). The
+    cache, batching, backend and ops surface come from
+    {!Hub_store.Make}. *)
 
 type t
 
@@ -137,10 +139,8 @@ val query : t -> int -> int -> int
     @raise Invalid_argument on out-of-range endpoints. *)
 
 val query_many : ?pool:Repro_par.Pool.t -> t -> (int * int) array -> int array
-(** Batched queries with the same contract as {!Flat_hub.query_many}:
-    equals the query loop for any job count; cache-free stores fan out
-    across the pool (the blob is read-only), cached stores stay on the
-    calling domain and merge hit/miss counts once per batch.
+(** {!Hub_store.S.query_many}: equals the [query] loop for any job
+    count.
     @raise Invalid_argument if any endpoint is out of range. *)
 
 val cache_stats : t -> (int * int) option
@@ -154,14 +154,8 @@ val space_words : t -> int
 val pp : Format.formatter -> t -> unit
 
 val backend : t -> Repro_obs.Backend.t
-(** The store as a uniform serving backend (name
-    ["compact-hub-labeling"]). Traces mirror {!Flat_hub.backend}:
-    [entries_scanned = |S(u)| + |S(v)|], cache hit/miss flags on a
-    cached store with [entries_scanned = 0] on a hit. *)
+(** {!Hub_store.S.backend}, named ["compact-hub-labeling"]. *)
 
 val ops : ?pool:Repro_par.Pool.t -> t -> Repro_obs.Backend.ops
-(** The store as an ops backend, mirroring {!Flat_hub.ops}: [Dist] /
-    [Batch] decode straight off the blob; aggregates run over a lazily
-    built shared {!Hub_index} (heap-resident, paid only when an
-    aggregate is first asked for). Byte-identical answers for any job
-    count. *)
+(** {!Hub_store.S.ops}; the lazily built {!Hub_index} lives on the
+    heap, paid only when an aggregate is first asked for. *)

@@ -19,11 +19,8 @@
     sorted merge intersection as {!Hub_label.query}, but over
     contiguous unboxed ints.
 
-    An optional {e direct-mapped cache} memoises recently answered
-    pairs: [cache_slots] slots, keyed by the unordered pair, each new
-    answer evicting whatever previously hashed to its slot. Queries on
-    a cached store mutate the cache, so a cached [t] must not be shared
-    across threads without synchronisation. *)
+    The cache, batching, backend and ops surface come from
+    {!Hub_store.Make}; this module holds only the CSR format. *)
 
 type t
 
@@ -67,22 +64,13 @@ val hubs : t -> int -> (int * int) array
     debugging, not the hot path). *)
 
 val query : t -> int -> int -> int
-(** Two-pointer merge intersection over the packed arrays;
-    {!Repro_graph.Dist.inf} when the hubsets are disjoint. Consults and
-    fills the cache when one was configured.
+(** Two-pointer merge intersection over the packed arrays
+    ({!Hub_store.S.query}).
     @raise Invalid_argument on out-of-range endpoints. *)
 
 val query_many : ?pool:Repro_par.Pool.t -> t -> (int * int) array -> int array
-(** Batched queries: validates all endpoints up front, then answers
-    with the per-call overhead amortised away. [query_many t ps] equals
-    [Array.map (fun (u, v) -> query t u v) ps] for any job count.
-
-    On a cache-free store the batch fans out across the pool (default
-    {!Repro_par.Pool.default}) — the packed arrays are read-only. A
-    cached store answers on the calling domain (the direct-mapped cache
-    is not domain-safe), accumulating hit/miss counts locally and
-    merging them into {!cache_stats} once at the end, so the counters
-    advance atomically per batch.
+(** {!Hub_store.S.query_many}: equals the [query] loop for any job
+    count.
     @raise Invalid_argument if any endpoint is out of range. *)
 
 val cache_stats : t -> (int * int) option
@@ -97,17 +85,7 @@ val space_words : t -> int
 (** Machine words of the packed arrays: [(n + 1) + 2 * total]. *)
 
 val backend : t -> Repro_obs.Backend.t
-(** The store as a uniform serving backend (name
-    ["flat-hub-labeling"]). Traces report [|S(u)| + |S(v)|] as
-    [entries_scanned] and, on a cached store, whether the distance
-    cache hit ([entries_scanned = 0] on a hit — the packed arrays were
-    never touched). *)
+(** {!Hub_store.S.backend}, named ["flat-hub-labeling"]. *)
 
 val ops : ?pool:Repro_par.Pool.t -> t -> Repro_obs.Backend.ops
-(** The store as an ops backend: [Dist] / [Batch] go through the
-    two-pointer point query; every aggregate request runs over a
-    shared {!Hub_index} built lazily on first aggregate use and
-    reused for the backend's lifetime. [Many_to_many] and
-    [Diameter_radius] fan out across [pool] (default
-    {!Repro_par.Pool.default}); answers are byte-identical for any
-    job count. *)
+(** {!Hub_store.S.ops}. *)

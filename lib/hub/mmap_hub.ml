@@ -44,30 +44,13 @@ let error_to_string = function
 
 exception Bad of error
 
-type cache = {
-  slots : int;
-  keys : int array; (* packed unordered pair, or -1 for an empty slot *)
-  values : int array;
-  mutable hits : int;
-  mutable misses : int;
-}
-
-type t = {
+type raw = {
   n : int;
   total : int;
   words : words;
   path : string;
   bytes : int;
-  cache : cache option;
 }
-
-let make_cache = function
-  | 0 -> None
-  | s when s < 0 -> invalid_arg "Mmap_hub: cache_slots must be non-negative"
-  | s ->
-      Some
-        { slots = s; keys = Array.make s (-1); values = Array.make s 0;
-          hits = 0; misses = 0 }
 
 let fits_int x = Int64.of_int (Int64.to_int x) = x
 let magic_word = String.get_int64_le Hub_io.packed_magic 0
@@ -136,10 +119,10 @@ let validate_offsets (words : words) ~n ~total =
     Ok ()
   with Bad e -> Error e
 
-let off t v = Int64.to_int (A1.unsafe_get t.words (3 + v))
+let off (t : raw) v = Int64.to_int (A1.unsafe_get t.words (3 + v))
 
 (* O(total): the full per-entry contract of Flat_hub.of_raw. *)
-let validate_entries t =
+let validate_raw_entries t =
   let base = 4 + t.n in
   let n64 = Int64.of_int t.n in
   try
@@ -166,8 +149,59 @@ let validate_entries t =
     Ok ()
   with Bad e -> Error e
 
+module Raw = struct
+  type t = raw
+
+  let name = "Mmap_hub"
+  let backend_name = "mmap-hub-labeling"
+  let n t = t.n
+  let size t v = off t (v + 1) - off t v
+
+  let hubs t v =
+    let base = 4 + t.n in
+    Array.init (size t v) (fun k ->
+        let e = off t v + k in
+        ( Int64.to_int (A1.get t.words (base + (2 * e))),
+          Int64.to_int (A1.get t.words (base + (2 * e) + 1)) ))
+
+  (* The hot path: the same two-pointer merge as Flat_hub.raw_query, with
+     the interleaved run walked directly in the mapping. Indices are in
+     mapping words; validated offsets bound them, so unsafe gets are
+     sound even on a shallow-validated file. *)
+  let raw_query t u v =
+    let words = t.words in
+    let base = 4 + t.n in
+    let i = ref (base + (2 * off t u))
+    and iend = base + (2 * off t (u + 1))
+    and j = ref (base + (2 * off t v))
+    and jend = base + (2 * off t (v + 1)) in
+    let best = ref Dist.inf in
+    while !i < iend && !j < jend do
+      let ha = Int64.to_int (A1.unsafe_get words !i)
+      and hb = Int64.to_int (A1.unsafe_get words !j) in
+      if ha = hb then begin
+        let d =
+          Dist.add
+            (Int64.to_int (A1.unsafe_get words (!i + 1)))
+            (Int64.to_int (A1.unsafe_get words (!j + 1)))
+        in
+        if d < !best then best := d;
+        i := !i + 2;
+        j := !j + 2
+      end
+      else if ha < hb then i := !i + 2
+      else j := !j + 2
+    done;
+    !best
+
+  let space_words t = t.n + 1 + (2 * t.total)
+  let pp_detail t = Printf.sprintf "%s, n=%d, total=%d" t.path t.n t.total
+end
+
+include Hub_store.Make (Raw)
+
 let load_res ?(cache_slots = 0) ?(deep = false) path =
-  let cache = make_cache cache_slots in
+  let wrap = wrap ~cache_slots in
   Repro_obs.Span.run ~name:"mmap-hub.load" (fun () ->
       let ( let* ) = Result.bind in
       let res =
@@ -189,9 +223,9 @@ let load_res ?(cache_slots = 0) ?(deep = false) path =
             Error (Length_mismatch { expected_words; actual_words })
           else
             let* () = validate_offsets words ~n ~total in
-            let t = { n; total; words; path; bytes; cache } in
-            let* () = if deep then validate_entries t else Ok () in
-            Ok t
+            let t = { n; total; words; path; bytes } in
+            let* () = if deep then validate_raw_entries t else Ok () in
+            Ok (wrap t)
       in
       (match res with
       | Ok _ -> ()
@@ -202,27 +236,13 @@ let load_res ?(cache_slots = 0) ?(deep = false) path =
               ("msg", Repro_obs.Events.Str (error_to_string e)) ]);
       res)
 
-let with_cache ~cache_slots t = { t with cache = make_cache cache_slots }
-let n t = t.n
-let total_size t = t.total
-let path t = t.path
-let bytes t = t.bytes
-
-let size t v =
-  if v < 0 || v >= t.n then invalid_arg "Mmap_hub.size";
-  off t (v + 1) - off t v
-
-let hubs t v =
-  if v < 0 || v >= t.n then invalid_arg "Mmap_hub.hubs";
-  let base = 4 + t.n in
-  Array.init
-    (off t (v + 1) - off t v)
-    (fun k ->
-      let e = off t v + k in
-      ( Int64.to_int (A1.get t.words (base + (2 * e))),
-        Int64.to_int (A1.get t.words (base + (2 * e) + 1)) ))
+let validate_entries t = validate_raw_entries (base t)
+let total_size t = (base t).total
+let path t = (base t).path
+let bytes t = (base t).bytes
 
 let to_flat t =
+  let t = base t in
   let offsets = Array.init (t.n + 1) (off t) in
   let base = 4 + t.n in
   let data =
@@ -230,162 +250,3 @@ let to_flat t =
         Int64.to_int (A1.get t.words (base + j)))
   in
   Flat_hub.of_raw ~n:t.n ~offsets ~data
-
-(* The hot path: the same two-pointer merge as Flat_hub.raw_query, with
-   the interleaved run walked directly in the mapping. Indices are in
-   mapping words; validated offsets bound them, so unsafe gets are
-   sound even on a shallow-validated file. *)
-let raw_query t u v =
-  let words = t.words in
-  let base = 4 + t.n in
-  let i = ref (base + (2 * off t u))
-  and iend = base + (2 * off t (u + 1))
-  and j = ref (base + (2 * off t v))
-  and jend = base + (2 * off t (v + 1)) in
-  let best = ref Dist.inf in
-  while !i < iend && !j < jend do
-    let ha = Int64.to_int (A1.unsafe_get words !i)
-    and hb = Int64.to_int (A1.unsafe_get words !j) in
-    if ha = hb then begin
-      let d =
-        Dist.add
-          (Int64.to_int (A1.unsafe_get words (!i + 1)))
-          (Int64.to_int (A1.unsafe_get words (!j + 1)))
-      in
-      if d < !best then best := d;
-      i := !i + 2;
-      j := !j + 2
-    end
-    else if ha < hb then i := !i + 2
-    else j := !j + 2
-  done;
-  !best
-
-let cached_query t c u v =
-  let key = if u <= v then (u * t.n) + v else (v * t.n) + u in
-  let slot = key mod c.slots in
-  if Array.unsafe_get c.keys slot = key then begin
-    c.hits <- c.hits + 1;
-    Array.unsafe_get c.values slot
-  end
-  else begin
-    c.misses <- c.misses + 1;
-    let d = raw_query t u v in
-    Array.unsafe_set c.keys slot key;
-    Array.unsafe_set c.values slot d;
-    d
-  end
-
-let dispatch t u v =
-  match t.cache with None -> raw_query t u v | Some c -> cached_query t c u v
-
-let query t u v =
-  if u < 0 || u >= t.n || v < 0 || v >= t.n then invalid_arg "Mmap_hub.query";
-  dispatch t u v
-
-let query_many ?pool t pairs =
-  Array.iter
-    (fun (u, v) ->
-      if u < 0 || u >= t.n || v < 0 || v >= t.n then
-        invalid_arg "Mmap_hub.query_many")
-    pairs;
-  let m = Array.length pairs in
-  let out = Array.make m 0 in
-  (match t.cache with
-  | Some c ->
-      (* Same contract as Flat_hub.query_many: the direct-mapped cache
-         is not domain-safe, so cached batches stay on the calling
-         domain with hit/miss merged once at the end. *)
-      let hits = ref 0 and misses = ref 0 in
-      for k = 0 to m - 1 do
-        let u, v = Array.unsafe_get pairs k in
-        let key = if u <= v then (u * t.n) + v else (v * t.n) + u in
-        let slot = key mod c.slots in
-        let d =
-          if Array.unsafe_get c.keys slot = key then begin
-            incr hits;
-            Array.unsafe_get c.values slot
-          end
-          else begin
-            incr misses;
-            let d = raw_query t u v in
-            Array.unsafe_set c.keys slot key;
-            Array.unsafe_set c.values slot d;
-            d
-          end
-        in
-        Array.unsafe_set out k d
-      done;
-      c.hits <- c.hits + !hits;
-      c.misses <- c.misses + !misses
-  | None ->
-      (* the mapping is read-only: fan the batch out *)
-      let pool =
-        match pool with Some p -> p | None -> Repro_par.Pool.default ()
-      in
-      Repro_par.Pool.parallel_for pool ~n:m (fun ~slot:_ lo hi ->
-          for k = lo to hi - 1 do
-            let u, v = Array.unsafe_get pairs k in
-            Array.unsafe_set out k (raw_query t u v)
-          done));
-  out
-
-let cache_stats t =
-  match t.cache with None -> None | Some c -> Some (c.hits, c.misses)
-
-let space_words t = t.n + 1 + (2 * t.total)
-
-let pp ppf t =
-  Format.fprintf ppf "mmap_hub(%s, n=%d, total=%d, cache=%s)" t.path t.n
-    t.total
-    (match t.cache with
-    | None -> "none"
-    | Some c -> string_of_int c.slots ^ " slots")
-
-let backend_name = "mmap-hub-labeling"
-
-let backend t =
-  let detailed u v =
-    if u < 0 || u >= t.n || v < 0 || v >= t.n then
-      invalid_arg "Mmap_hub.query";
-    match t.cache with
-    | None ->
-        let d = raw_query t u v in
-        ( d,
-          Repro_obs.Trace.make
-            ~entries_scanned:(size t u + size t v)
-            ~source:backend_name ~u ~v ~dist:d () )
-    | Some c ->
-        let hits0 = c.hits in
-        let d = cached_query t c u v in
-        let cache =
-          if c.hits > hits0 then Repro_obs.Trace.Hit else Repro_obs.Trace.Miss
-        in
-        let scanned =
-          match cache with
-          | Repro_obs.Trace.Hit -> 0
-          | _ -> size t u + size t v
-        in
-        ( d,
-          Repro_obs.Trace.make ~entries_scanned:scanned ~cache
-            ~source:backend_name ~u ~v ~dist:d () )
-  in
-  Repro_obs.Backend.make ~name:backend_name ~space_words:(space_words t)
-    ~detailed (query t)
-
-let ops ?pool t =
-  let module Base = (val backend t : Repro_obs.Backend.S) in
-  let q = query t and h = hubs t and nn = t.n in
-  let idx = lazy (Hub_index.build ~n:nn ~hubs:h) in
-  let module B = struct
-    include Base
-
-    let op req =
-      match req with
-      | Repro_obs.Ops.Dist _ | Repro_obs.Ops.Batch _ ->
-          (* point queries read the mapping directly and never force
-             the inverted index *)
-          Repro_obs.Ops.brute ~n:nn ~query:q req
-      | _ -> Hub_index.eval ?pool (Lazy.force idx) ~hubs:h ~query:q req
-  end in
-  (module B : Repro_obs.Backend.S_ops)

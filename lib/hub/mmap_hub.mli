@@ -31,9 +31,9 @@
 
     The mapping lives until the store is garbage-collected; unlinking
     the file after a successful load is safe (POSIX keeps mapped pages
-    alive). The same optional direct-mapped cache as {!Flat_hub} is
-    available; a cached store mutates heap-side cache arrays only — the
-    mapping itself is never written. *)
+    alive). The cache, batching, backend and ops surface come from
+    {!Hub_store.Make}; a cached store mutates heap-side cache arrays
+    only — the mapping itself is never written. *)
 
 type t
 
@@ -105,10 +105,8 @@ val query : t -> int -> int -> int
     @raise Invalid_argument on out-of-range endpoints. *)
 
 val query_many : ?pool:Repro_par.Pool.t -> t -> (int * int) array -> int array
-(** Batched queries with the same contract as {!Flat_hub.query_many}:
-    equals the query loop for any job count; cache-free stores fan out
-    across the pool (the mapping is read-only), cached stores stay on
-    the calling domain and merge hit/miss counts once per batch.
+(** {!Hub_store.S.query_many}: equals the [query] loop for any job
+    count.
     @raise Invalid_argument if any endpoint is out of range. *)
 
 val cache_stats : t -> (int * int) option
@@ -122,14 +120,8 @@ val space_words : t -> int
 val pp : Format.formatter -> t -> unit
 
 val backend : t -> Repro_obs.Backend.t
-(** The store as a uniform serving backend (name
-    ["mmap-hub-labeling"]). Traces mirror {!Flat_hub.backend}:
-    [entries_scanned = |S(u)| + |S(v)|], cache hit/miss flags on a
-    cached store with [entries_scanned = 0] on a hit. *)
+(** {!Hub_store.S.backend}, named ["mmap-hub-labeling"]. *)
 
 val ops : ?pool:Repro_par.Pool.t -> t -> Repro_obs.Backend.ops
-(** The store as an ops backend, mirroring {!Flat_hub.ops}: [Dist] /
-    [Batch] stay on the mapped words; aggregates run over a lazily
-    built shared {!Hub_index} (which lives on the heap — the one
-    departure from the zero-copy budget, paid only when an aggregate
-    is first asked for). Byte-identical answers for any job count. *)
+(** {!Hub_store.S.ops}; the lazily built {!Hub_index} lives on the
+    heap, paid only when an aggregate is first asked for. *)

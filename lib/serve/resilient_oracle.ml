@@ -113,14 +113,18 @@ let make ?(step_budget = max_int) ?(spot_check_every = 1)
     quarantines = 0;
   }
 
-(* Budget-capped primaries over the two label stores. The scan budget
+(* The budget-capped primary over any label store. The scan budget
    caps |S(u)| + |S(v)|; exceeding it raises [Over_budget], which the
    serving loop treats as a clean skip (no strike). *)
-
-let budget_capped base scan_cost = function
+let store_primary ?step_budget store =
+  let base = Store.backend store in
+  match step_budget with
   | None -> base
   | Some budget ->
-      let guard u v = if scan_cost u v > budget then raise Over_budget in
+      let guard u v =
+        if Store.size store u + Store.size store v > budget then
+          raise Over_budget
+      in
       let detailed u v =
         guard u v;
         Backend.query_detailed base u v
@@ -132,24 +136,10 @@ let budget_capped base scan_cost = function
           Backend.query base u v)
 
 let hub_primary ?step_budget labels =
-  budget_capped (Hub_label.backend labels)
-    (fun u v -> Hub_label.size labels u + Hub_label.size labels v)
-    step_budget
-
-let flat_primary ?step_budget store =
-  budget_capped (Flat_hub.backend store)
-    (fun u v -> Flat_hub.size store u + Flat_hub.size store v)
-    step_budget
+  store_primary ?step_budget (Store.Assoc labels)
 
 let mmap_primary ?step_budget store =
-  budget_capped (Mmap_hub.backend store)
-    (fun u v -> Mmap_hub.size store u + Mmap_hub.size store v)
-    step_budget
-
-let compact_primary ?step_budget store =
-  budget_capped (Compact_hub.backend store)
-    (fun u v -> Compact_hub.size store u + Compact_hub.size store v)
-    step_budget
+  store_primary ?step_budget (Store.Mmap store)
 
 let create ?step_budget ?spot_check_every ?quarantine_after ?metrics ?labels
     ?primary ?primary_ops g =

@@ -65,14 +65,13 @@ val create :
   t
 (** [create g] builds a resilient oracle over [g]. The single unified
     entry point: [primary] is any uniform backend (build budget-capped
-    label backends with {!hub_primary} / {!flat_primary}); omit it for
+    label backends with {!store_primary}); omit it for
     a search-only oracle. [labels] is the legacy spelling of
     [~primary:(hub_primary ?step_budget labels)] kept so existing
     callers compile unchanged — pass one of the two, not both.
 
     [primary_ops] is the fast evaluator behind {!op} (typically
-    {!Repro_hub.Flat_hub.ops} / {!Repro_hub.Mmap_hub.ops} over the
-    same store as [primary]). When omitted, aggregate requests run
+    {!Repro_hub.Store.ops} over the same store as [primary]). When omitted, aggregate requests run
     through {!Repro_obs.Backend.lift} over [primary] — point queries
     only, budget caps included — or straight through the fallback
     chain when there is no primary at all.
@@ -91,20 +90,16 @@ val create :
     if [labels] disagree with [g] on [n], or on a non-positive
     [step_budget]/[quarantine_after]. *)
 
-val hub_primary : ?step_budget:int -> Hub_label.t -> Repro_obs.Backend.t
-(** {!Hub_label.backend}, additionally raising {!Over_budget} when
-    [|S(u)| + |S(v)|] exceeds [step_budget]. *)
+val store_primary : ?step_budget:int -> Store.t -> Repro_obs.Backend.t
+(** {!Store.backend}, additionally raising {!Over_budget} when
+    [|S(u)| + |S(v)|] exceeds [step_budget] — every store slots into
+    the identical degradation chain. *)
 
-val flat_primary : ?step_budget:int -> Flat_hub.t -> Repro_obs.Backend.t
-(** {!Flat_hub.backend} with the same scan-budget cap. *)
+val hub_primary : ?step_budget:int -> Hub_label.t -> Repro_obs.Backend.t
+(** [store_primary (Store.Assoc labels)]. *)
 
 val mmap_primary : ?step_budget:int -> Mmap_hub.t -> Repro_obs.Backend.t
-(** {!Mmap_hub.backend} with the same scan-budget cap — the zero-copy
-    store slots into the identical degradation chain. *)
-
-val compact_primary : ?step_budget:int -> Compact_hub.t -> Repro_obs.Backend.t
-(** {!Compact_hub.backend} with the same scan-budget cap — the
-    compressed store slots into the identical degradation chain. *)
+(** [store_primary (Store.Mmap store)]. *)
 
 val query : t -> int -> int -> int
 (** Exact distance ({!Dist.inf} when disconnected) whenever spot
@@ -125,8 +120,8 @@ val query_many : ?pool:Repro_par.Pool.t -> t -> (int * int) array -> int array
     any job count.
 
     Pass [pool] only when the primary backend is domain-safe: pure
-    functions of [(u, v)], e.g. {!hub_primary} or {!flat_primary} over
-    a {e cache-free} store. Instrumented, cached or fault-injecting
+    functions of [(u, v)], e.g. {!store_primary} over a {e cache-free}
+    store. Instrumented, cached or fault-injecting
     primaries mutate shared state per call — batch those without a
     pool.
     @raise Invalid_argument when a pair is out of range (pairs before

@@ -86,6 +86,7 @@ type active = {
 
 type t = {
   cfg : config;
+  store : Store.t option;  (* cfg's labels/mmap/compact, resolved once *)
   sup : Supervisor.t;
   reg : Obs.Metrics.t;
   ctr : counters;
@@ -293,12 +294,11 @@ let trace_exemplar t () =
 
 (* ----- worker lifecycle --------------------------------------------- *)
 
-let worker_config cfg ~shard ~with_chaos =
+let worker_config t ~shard ~with_chaos =
+  let cfg = t.cfg in
   {
     Worker.graph = cfg.graph;
-    labels = cfg.labels;
-    mmap = cfg.mmap;
-    compact = cfg.compact;
+    store = t.store;
     shards = cfg.shards;
     shard;
     partition = cfg.partition;
@@ -324,7 +324,7 @@ let spawn_conn t shard ~with_chaos =
             t.conns;
           (try
              Worker.run ~input:child_fd ~output:child_fd
-               (worker_config t.cfg ~shard ~with_chaos)
+               (worker_config t ~shard ~with_chaos)
            with _ -> ());
           Unix._exit 0
       | pid ->
@@ -445,18 +445,21 @@ let heal t =
 
 let create cfg =
   if cfg.shards < 1 then invalid_arg "Router.create: shards must be >= 1";
-  (match cfg.labels with
-  | Some l when Hub_label.n l <> Graph.n cfg.graph ->
-      invalid_arg "Router.create: labels and graph disagree on n"
-  | _ -> ());
-  (match (cfg.mmap, cfg.compact, cfg.labels) with
-  | Some _, Some _, _ | Some _, _, Some _ | _, Some _, Some _ ->
-      invalid_arg "Router.create: pass at most one of ~labels/~mmap/~compact"
-  | Some m, None, None when Mmap_hub.n m <> Graph.n cfg.graph ->
-      invalid_arg "Router.create: mmap store and graph disagree on n"
-  | None, Some c, None when Compact_hub.n c <> Graph.n cfg.graph ->
-      invalid_arg "Router.create: compact store and graph disagree on n"
-  | _ -> ());
+  let store =
+    match (cfg.labels, cfg.mmap, cfg.compact) with
+    | None, None, None -> None
+    | Some l, None, None -> Some (Store.Assoc l)
+    | None, Some m, None -> Some (Store.Mmap m)
+    | None, None, Some c -> Some (Store.Compact c)
+    | _ ->
+        invalid_arg "Router.create: pass at most one of ~labels/~mmap/~compact"
+  in
+  Option.iter
+    (fun s ->
+      match Store.check_graph s cfg.graph with
+      | Ok () -> ()
+      | Error msg -> invalid_arg ("Router.create: " ^ msg))
+    store;
   (match cfg.trace with
   | Some tc ->
       if tc.sample_every < 1 then
@@ -490,6 +493,7 @@ let create cfg =
   let t =
     {
       cfg;
+      store;
       sup = Supervisor.create ~seed:cfg.seed ~shards:cfg.shards cfg.supervisor;
       reg;
       ctr;

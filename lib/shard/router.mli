@@ -59,15 +59,14 @@ type config = {
   graph : Graph.t;
   labels : Hub_label.t option;
   mmap : Mmap_hub.t option;
-      (** zero-copy worker primaries: forked workers inherit the
-          parent's mapping (one page-cache copy across the fleet);
-          exec-mode spawn functions must arrange for the child to map
-          the same file itself (the CLI appends [--mmap]). Mutually
-          exclusive with [labels]. *)
   compact : Compact_hub.t option;
-      (** compressed zero-copy worker primaries: the same spawn
-          contract as [mmap] over a [HUBFLAT2] store (the CLI appends
-          [--compact]). Mutually exclusive with [labels] and [mmap]. *)
+      (** At most one of the three; {!create} resolves them once into
+          the {!Repro_hub.Store.t} every worker serves. A labeling is
+          sliced per shard; a mapped store ([mmap] / [compact]) is
+          inherited whole by forked workers (one page-cache copy
+          across the fleet), and exec-mode spawn functions must
+          arrange for the child to map the same file itself (the CLI
+          appends [--mmap] / [--compact]). *)
   shards : int;
   partition : Partition.spec;
   supervisor : Supervisor.config;

@@ -5,9 +5,7 @@ module Obs = Repro_obs
 
 type config = {
   graph : Graph.t;
-  labels : Hub_label.t option;
-  mmap : Mmap_hub.t option;
-  compact : Compact_hub.t option;
+  store : Store.t option;
   shards : int;
   shard : int;
   partition : Partition.spec;
@@ -22,9 +20,7 @@ type config = {
 let default_config graph =
   {
     graph;
-    labels = None;
-    mmap = None;
-    compact = None;
+    store = None;
     shards = 1;
     shard = 0;
     partition = Partition.Range;
@@ -89,39 +85,31 @@ let write_response ~chaos ~frames_written output resp =
         dribble 0
 
 let build_backend cfg metrics clock =
-  let primary, primary_ops =
-    match (cfg.mmap, cfg.compact, cfg.labels) with
-    | Some _, Some _, _ | Some _, _, Some _ | _, Some _, Some _ ->
-        invalid_arg "Worker.run: pass at most one of ~labels/~mmap/~compact"
-    | Some store, None, None ->
-        (* Zero-copy mode: every worker maps the same whole file (one
-           page-cache copy fleet-wide), so there is no heap slice to
-           cut — partition routing at the router already confines which
-           pairs reach this shard. *)
-        if Mmap_hub.n store <> Graph.n cfg.graph then
-          invalid_arg "Worker.run: mmap store and graph disagree on n";
-        ( Some (Resilient_oracle.mmap_primary ?step_budget:cfg.step_budget store),
-          Some (Mmap_hub.ops store) )
-    | None, Some store, None ->
-        (* Compressed mode: like mmap mode, every worker maps the same
-           whole HUBFLAT2 file through the page cache — now ~6x fewer
-           resident bytes per fleet. *)
-        if Compact_hub.n store <> Graph.n cfg.graph then
-          invalid_arg "Worker.run: compact store and graph disagree on n";
-        ( Some
-            (Resilient_oracle.compact_primary ?step_budget:cfg.step_budget
-               store),
-          Some (Compact_hub.ops store) )
-    | None, None, Some labels ->
-        let slice =
-          Partition.slice cfg.partition ~shards:cfg.shards ~shard:cfg.shard
-            labels
-        in
-        let flat = Flat_hub.of_labels slice in
-        ( Some (Resilient_oracle.flat_primary ?step_budget:cfg.step_budget flat),
-          Some (Flat_hub.ops flat) )
-    | None, None, None -> (None, None)
+  let store =
+    Option.map
+      (fun store ->
+        (match Store.check_graph store cfg.graph with
+        | Ok () -> ()
+        | Error msg -> invalid_arg ("Worker.run: " ^ msg));
+        match store with
+        | Store.Assoc labels ->
+            (* a heap labeling is cut down to this shard's slice *)
+            Store.Flat
+              (Flat_hub.of_labels
+                 (Partition.slice cfg.partition ~shards:cfg.shards
+                    ~shard:cfg.shard labels))
+        | Store.Flat _ | Store.Mmap _ | Store.Compact _ ->
+            (* packed stores are served whole: partition routing at the
+               router already confines which pairs reach this shard, and
+               mapped stores share one page-cache copy fleet-wide *)
+            store)
+      cfg.store
   in
+  let primary =
+    Option.map
+      (Resilient_oracle.store_primary ?step_budget:cfg.step_budget)
+      store
+  and primary_ops = Option.bind store (fun s -> Store.ops s) in
   let oracle =
     Resilient_oracle.create ?step_budget:cfg.step_budget
       ~spot_check_every:cfg.spot_check_every

@@ -1,7 +1,7 @@
-(** One shard worker: a single-threaded frame loop over a label slice.
+(** One shard worker: a single-threaded frame loop over a label store.
 
-    A worker owns the {!Repro_hub.Partition.slice} of the labeling for
-    its shard, packed into a {!Repro_hub.Flat_hub} store behind the
+    A worker puts its configured {!Repro_hub.Store.t} — for a heap
+    labeling, the {!Repro_hub.Partition.slice} of its shard — behind the
     full {!Repro_serve.Resilient_oracle} degradation chain, and serves
     {!Wire} requests read from [input] until [Shutdown], EOF, or an
     unrecoverable stream error. Point queries and the aggregate ops
@@ -33,19 +33,14 @@ open Repro_serve
 
 type config = {
   graph : Graph.t;
-  labels : Hub_label.t option;
-      (** [None] builds a search-only worker (BFS fallback chain only) *)
-  mmap : Mmap_hub.t option;
-      (** zero-copy primary: serve the {e whole} mapped store (no heap
-          slice — the router's partition routing confines which pairs
-          arrive; the OS page cache keeps one physical copy across all
-          workers mapping the same file). Mutually exclusive with
-          [labels]. *)
-  compact : Compact_hub.t option;
-      (** compressed zero-copy primary: the whole mapped [HUBFLAT2]
-          store, with the same one-page-cache-copy sharing as [mmap]
-          at a fraction of the bytes. Mutually exclusive with [labels]
-          and [mmap]. *)
+  store : Store.t option;
+      (** [None] builds a search-only worker (BFS fallback chain only).
+          An [Assoc] labeling is cut to this shard's
+          {!Repro_hub.Partition.slice} and packed into a heap
+          {!Repro_hub.Flat_hub}; a packed store ([Flat], [Mmap],
+          [Compact]) is served whole — the router's partition routing
+          confines which pairs arrive, and every worker mapping the
+          same file shares one page-cache copy. *)
   shards : int;
   shard : int;
   partition : Partition.spec;
@@ -66,4 +61,4 @@ val default_config : Graph.t -> config
 val run : input:Unix.file_descr -> output:Unix.file_descr -> config -> unit
 (** Blocks serving frames until [Shutdown] or EOF. Never raises on
     malformed input; raises [Invalid_argument] only on a bad [config]
-    (shard out of range, labels/graph size mismatch). *)
+    (shard out of range, store/graph size mismatch). *)

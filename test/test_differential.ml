@@ -7,7 +7,9 @@
    with block sizes small enough to force the skip table) are run
    alongside the assoc Hub_label they were frozen from, so no layout
    optimisation can silently diverge from the structures it
-   replaced. *)
+   replaced. All four kinds also run through the serving handle
+   (Store.t behind Resilient_oracle.store_primary), cached and
+   uncached. *)
 
 open Repro_graph
 open Repro_hub
@@ -16,10 +18,23 @@ open Repro_serve
 
 let inf_budget = max_int
 
-(* The unweighted backend battery over a graph: (name, query). The
-   mmap store rides through an actual temp file round trip (pack →
-   map → unlink), so the zero-copy byte path is exercised on every
-   generated graph. *)
+(* Every store kind as the serving layers see it: a Store.t handle,
+   each packed kind both uncached and with a fresh 32-slot cache. *)
+let store_handles stores =
+  List.concat_map
+    (fun store ->
+      let name = "store-" ^ Store.kind_name store in
+      match store with
+      | Store.Assoc _ -> [ (name, store) ]
+      | _ ->
+          [ (name, store);
+            (name ^ "-cached", Store.with_cache ~cache_slots:32 store) ])
+    stores
+
+(* The unweighted backend battery over a graph: (name, query), plus
+   the store handles. The mmap store rides through an actual temp file
+   round trip (pack → map → unlink), so the zero-copy byte path is
+   exercised on every generated graph. *)
 let unweighted_backends g =
   let pll = Pll.build g in
   let flat = Flat_hub.of_labels pll in
@@ -33,30 +48,58 @@ let unweighted_backends g =
   let compact_cached = Test_util.compact_of_flat ~cache_slots:32 flat in
   let hhl = Canonical_hhl.build ~order:(Order.by_degree g) g in
   let w = Wgraph.of_unweighted g in
-  [
-    ("hub-assoc", Hub_label.query pll);
-    ("flat", Flat_hub.query flat);
-    ("flat-cached", Flat_hub.query flat_cached);
-    ("mmap", Mmap_hub.query mm);
-    ("mmap-cached", Mmap_hub.query mm_cached);
-    ("compact", Compact_hub.query compact);
-    ("compact-mmap", Compact_hub.query compact_mm);
-    ("compact-cached", Compact_hub.query compact_cached);
-    ("canonical-hhl", Hub_label.query hhl);
-    ("dijkstra-unit", fun u v -> (Dijkstra.distances w u).(v));
-    ( "bidirectional",
-      fun u v ->
-        match Budget_search.bidirectional g ~budget:inf_budget u v with
-        | Some d -> d
-        | None -> Alcotest.fail "unbudgeted bidirectional search gave up" );
-  ]
+  let handles =
+    store_handles
+      [ Store.Assoc pll; Store.Flat flat; Store.Mmap mm; Store.Compact compact ]
+  in
+  ( List.map
+      (fun (name, store) ->
+        ( name,
+          Repro_obs.Backend.query (Resilient_oracle.store_primary store) ))
+      handles
+    @ [
+        ("hub-assoc", Hub_label.query pll);
+        ("flat", Flat_hub.query flat);
+        ("flat-cached", Flat_hub.query flat_cached);
+        ("mmap", Mmap_hub.query mm);
+        ("mmap-cached", Mmap_hub.query mm_cached);
+        ("compact", Compact_hub.query compact);
+        ("compact-mmap", Compact_hub.query compact_mm);
+        ("compact-cached", Compact_hub.query compact_cached);
+        ("canonical-hhl", Hub_label.query hhl);
+        ("dijkstra-unit", fun u v -> (Dijkstra.distances w u).(v));
+        ( "bidirectional",
+          fun u v ->
+            match Budget_search.bidirectional g ~budget:inf_budget u v with
+            | Some d -> d
+            | None -> Alcotest.fail "unbudgeted bidirectional search gave up" );
+      ],
+    handles )
+
+(* Through the handle, a store's batch and the per-pair primary loop
+   agree on every answer and — on a fresh cached store — on the cache's
+   hit/miss totals, so batching never changes what the cache reports. *)
+let batch_agrees_with_loop pairs (name, store) =
+  let fresh () =
+    match Store.cache_stats store with
+    | Some _ -> Store.with_cache ~cache_slots:32 store
+    | None -> store
+  in
+  let batch = fresh () and loop = fresh () in
+  let q = Repro_obs.Backend.query (Resilient_oracle.store_primary loop) in
+  if Store.query_many batch pairs <> Array.map (fun (u, v) -> q u v) pairs
+  then Alcotest.failf "%s: query_many <> per-pair loop" name;
+  if Store.cache_stats batch <> Store.cache_stats loop then
+    Alcotest.failf "%s: cache_stats differ between batch and loop" name;
+  true
 
 (* Check every backend against BFS truth on the given pairs; queries
    each pair twice through the cached flat store via the repetition in
    [pairs] (query_pairs includes repeats and self-pairs). *)
 let agree_on g pairs =
-  let backends = unweighted_backends g in
-  Array.for_all
+  let backends, handles = unweighted_backends g in
+  List.for_all (batch_agrees_with_loop pairs) handles
+  && Array.for_all
     (fun (u, v) ->
       let truth = (Traversal.bfs g u).(v) in
       List.for_all

@@ -77,7 +77,7 @@ let diff_unweighted =
       let flat = Flat_hub.of_labels pll in
       let primary_oracle =
         Resilient_oracle.create
-          ~primary:(Resilient_oracle.flat_primary flat)
+          ~primary:(Resilient_oracle.store_primary (Store.Flat flat))
           ~primary_ops:(Flat_hub.ops flat) g
       in
       let search_oracle = Resilient_oracle.create g in

@@ -12,7 +12,12 @@
       same-seed runs are byte-identical to each other;
    4. the shared store-kind resolver rejects the documented bad
       combinations with exit 124 on every subcommand that takes them,
-      and bad --op spellings exit 124 / out-of-range operands exit 11.
+      and bad --op spellings exit 124 / out-of-range operands exit 11;
+   5. the store boundary, table-driven over serve query | stats | loop
+      | router | trace and every store flag each accepts: a store whose
+      n differs from the graph exits 11, a file of the wrong packed
+      format exits 10, a conflicting flag pair exits 124, and
+      --cache-slots or --flat without a packed store to serve exit 124.
 
    Runs as its own executable: the router forks, so this binary stays
    strictly domain-free. The CLI path arrives as argv.(1). *)
@@ -204,7 +209,88 @@ let () =
       "serve"; "router"; "--graph-file"; graph_file; "--labels-file";
       packed_file; "--op"; "nonsense";
     ];
-  Printf.printf "scenario 4 (typed failure exits): ok\n%!";
+  Printf.printf "scenario 4 (typed failure exits): ok\n%!"
+
+(* ----- 5. the store boundary on every serve subcommand --------------- *)
+
+let () =
+  let pack ~n ~compress file =
+    let code, _ =
+      run_cli
+        ([
+           "label"; "--graph"; "sparse"; "-n"; string_of_int n; "--seed";
+           "23"; "--pack"; file;
+         ]
+        @ if compress then [ "--compress" ] else [])
+    in
+    check ("pack " ^ file) (code = 0);
+    Sys.remove (file ^ ".graph")
+  in
+  let small = Filename.temp_file "ops_smoke_small" ".bin" in
+  let small2 = Filename.temp_file "ops_smoke_small2" ".bin" in
+  let packed2 = Filename.temp_file "ops_smoke_hubflat2" ".bin" in
+  let empty = Filename.temp_file "ops_smoke_queries" ".txt" in
+  pack ~n:150 ~compress:false small;
+  pack ~n:150 ~compress:true small2;
+  pack ~n:180 ~compress:true packed2;
+  (* (subcommand, store flags it accepts); the stream subcommands read
+     an empty query file so a wrongly accepted run cannot block *)
+  let subs =
+    let heap = [ []; [ "--flat" ]; [ "--mmap" ]; [ "--compact" ] ]
+    and shard = [ []; [ "--mmap" ]; [ "--compact" ] ] in
+    [
+      ("query", heap, []);
+      ("stats", heap, []);
+      ("loop", heap, [ "--queries"; empty ]);
+      ("router", shard, [ "--queries"; empty ]);
+      ("trace", shard, [ "--queries"; empty ]);
+    ]
+  in
+  let expect name code args =
+    let got, _ = run_cli args in
+    if got <> code then fail "%s exits %d (got %d)" name code got;
+    incr passed
+  in
+  List.iter
+    (fun (sub, flags, extra) ->
+      let serve ?labels args =
+        [ "serve"; sub; "--graph-file"; graph_file ]
+        @ (match labels with Some f -> [ "--labels-file"; f ] | None -> [])
+        @ extra @ args
+      in
+      List.iter
+        (fun flag ->
+          let name = String.concat " " (sub :: flag) in
+          (* n=150 store against the n=180 graph, in the format the
+             flag reads *)
+          let mismatched = if flag = [ "--compact" ] then small2 else small in
+          expect (name ^ ": store n <> graph n") 11
+            (serve ~labels:mismatched flag))
+        flags;
+      expect (sub ^ " --compact: HUBFLAT1 file") 10
+        (serve ~labels:packed_file [ "--compact" ]);
+      expect (sub ^ " --mmap: HUBFLAT2 file") 10
+        (serve ~labels:packed2 [ "--mmap" ]);
+      List.iter
+        (fun pair ->
+          if List.for_all (fun f -> List.mem [ f ] flags) pair then
+            expect
+              (sub ^ " " ^ String.concat " " pair ^ ": conflicting flags")
+              124
+              (serve ~labels:packed_file pair))
+        [ [ "--mmap"; "--flat" ]; [ "--compact"; "--flat" ];
+          [ "--mmap"; "--compact" ] ];
+      if List.mem [ "--flat" ] flags then begin
+        (* no packed store to cache or serve: a usage error, never a
+           silent search-only or cache-free run *)
+        expect (sub ^ " --cache-slots without a packed store") 124
+          (serve ~labels:packed_file [ "--cache-slots"; "8" ]);
+        expect (sub ^ " --flat without --labels-file") 124
+          (serve [ "--flat" ])
+      end)
+    subs;
+  List.iter Sys.remove [ small; small2; packed2; empty ];
+  Printf.printf "scenario 5 (store boundary on every serve subcommand): ok\n%!";
   Sys.remove packed_file;
   Sys.remove graph_file;
   Printf.printf "ops-smoke: all scenarios passed (%d checks)\n%!" !passed

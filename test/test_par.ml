@@ -258,7 +258,8 @@ let test_resilient_query_many_differential () =
   in
   let make () =
     Resilient_oracle.create ~spot_check_every:3
-      ~primary:(Resilient_oracle.flat_primary ~step_budget:24 flat)
+      ~primary:
+        (Resilient_oracle.store_primary ~step_budget:24 (Store.Flat flat))
       g
   in
   let seq_oracle = make () in

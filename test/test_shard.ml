@@ -326,7 +326,7 @@ let worker_fixture () =
 let test_worker_serves_frames () =
   let g, labels = worker_fixture () in
   let cfg =
-    { (Worker.default_config g) with Worker.labels = Some labels;
+    { (Worker.default_config g) with Worker.store = Some (Store.Assoc labels);
       clock_step = Some 1000L }
   in
   let truth = Hub_label.query labels 0 41 in
@@ -375,7 +375,7 @@ let test_worker_chaos_corrupt_frame () =
   let cfg =
     {
       (Worker.default_config g) with
-      Worker.labels = Some labels;
+      Worker.store = Some (Store.Assoc labels);
       chaos = Some (Fault_injector.chaos ~after_frames:1 Fault_injector.Corrupt_frame);
     }
   in
