@@ -102,13 +102,15 @@ type t = {
   mutable down : bool;
 }
 
-(* router-side failure taxonomy; the supervisor decides what it costs *)
+(* what a frame read can fail with *)
 type rerr = Timeout | Wire_err of Wire.error
 
-let is_soft = function
-  | Timeout -> true
-  | Wire_err (Wire.Bad_opcode _ | Wire.Bad_payload _) -> true
-  | Wire_err _ -> false  (* EOF / truncation / transport: the peer is gone *)
+(* How one exchange with a worker ended, before the supervisor hears of
+   it. A deadline miss or an unparseable frame is soft and may be
+   retried; a well-formed frame that is not the expected answer (an
+   [Error_frame], say) is soft but final; EOF, truncation and transport
+   errors mean the peer is gone. *)
+type 'a reply = Got of 'a | Timed_out | Bad_frame of { retryable : bool } | Dead
 
 let event name fields = Obs.Events.emit_ambient ~level:Obs.Events.Warn name fields
 
@@ -183,14 +185,37 @@ let rec recv_matching conn ~id ~until =
                 recv_matching conn ~id ~until
               end))
 
-let send_frame conn frame =
-  match Wire.write_frame conn.c_fd frame with
-  | Ok () -> Ok ()
-  | Error e -> Error (Wire_err e)
-
 let fresh_id t =
   incr t.next_id;
   !(t.next_id)
+
+(* Send one request under a fresh id; [None] when the write failed. *)
+let send t conn ?ctx make_req =
+  let id = fresh_id t in
+  match
+    Wire.write_frame conn.c_fd (Wire.encode_request_ctx ?ctx (make_req id))
+  with
+  | Ok () -> Some id
+  | Error _ -> None
+
+(* Await the response to a sent request and classify it; [extract]
+   accepts the expected payload. *)
+let await t conn ~extract = function
+  | None -> Dead (* the request never went out *)
+  | Some id -> (
+      let until = Unix.gettimeofday () +. deadline_s t in
+      match recv_matching conn ~id ~until with
+      | Ok resp -> (
+          match extract resp with
+          | Some x -> Got x
+          | None -> Bad_frame { retryable = false })
+      | Error Timeout -> Timed_out
+      | Error (Wire_err (Wire.Bad_opcode _ | Wire.Bad_payload _)) ->
+          Bad_frame { retryable = true }
+      | Error (Wire_err _) -> Dead)
+
+let exchange t conn ?ctx ~extract make_req =
+  await t conn ~extract (send t conn ?ctx make_req)
 
 (* ----- trace lifecycle ----------------------------------------------- *)
 
@@ -241,7 +266,9 @@ let mint_child t =
       a.a_next <- a.a_next + 1;
       Some c
 
-let trace_span t name ~span_id ~start =
+(* Record a router-side span under the current parent; [elapsed]
+   defaults to the time since [start]. *)
+let trace_span ?elapsed t name ~span_id ~start =
   match t.cur with
   | None -> ()
   | Some a ->
@@ -253,9 +280,35 @@ let trace_span t name ~span_id ~start =
           parent_id = a.a_parent;
           name;
           start_ns = start;
-          elapsed_ns = Int64.sub (t.clock ()) start;
+          elapsed_ns =
+            (match elapsed with
+            | Some e -> e
+            | None -> Int64.sub (t.clock ()) start);
         }
         :: a.a_spans
+
+let child_span ?elapsed t name ~start =
+  Option.iter
+    (fun c -> trace_span ?elapsed t name ~span_id:(ctx_span_id c) ~start)
+    (mint_child t)
+
+(* Run one RPC under its own [name] span: [f] gets the context its
+   frames carry, so the worker's span nests under this one, and
+   router-side spans opened inside (retries, recomputes) nest here
+   too. *)
+let with_rpc_span t name f =
+  let ctx = mint_child t in
+  let start = t.clock () in
+  let saved = Option.map (fun a -> a.a_parent) t.cur in
+  (match (t.cur, ctx) with
+  | Some a, Some c -> a.a_parent <- ctx_span_id c
+  | _ -> ());
+  let res = f ctx in
+  (match (t.cur, saved) with Some a, Some p -> a.a_parent <- p | _ -> ());
+  Option.iter
+    (fun c -> trace_span t name ~span_id:(ctx_span_id c) ~start)
+    ctx;
+  res
 
 (* Close the active trace; commit its spans iff it was head-sampled,
    force-sampled along the way, or slower than the configured
@@ -364,16 +417,12 @@ let demote t shard =
       reap c.c_pid;
       t.conns.(shard) <- None
 
+(* A health check: no counter, no verdict — the caller decides. *)
 let ping t conn =
-  let id = fresh_id t in
-  match send_frame conn (Wire.encode_request (Wire.Ping { id })) with
-  | Error _ -> false
-  | Ok () -> (
-      match
-        recv_matching conn ~id ~until:(Unix.gettimeofday () +. deadline_s t)
-      with
-      | Ok (Wire.Pong { id = _ }) -> true
-      | Ok _ | Error _ -> false)
+  exchange t conn
+    ~extract:(function Wire.Pong _ -> Some () | _ -> None)
+    (fun id -> Wire.Ping { id })
+  = Got ()
 
 let update_quarantine_gauge t =
   let q = ref 0 in
@@ -410,18 +459,47 @@ let crash t shard =
   event "router.crash" [ ("shard", Obs.Events.Int shard) ];
   apply_verdict t shard (Supervisor.on_crash t.sup shard)
 
+(* Book one exchange with [shard]: bump the failure counters, tell the
+   supervisor and apply its verdict. A retryable soft failure the
+   supervisor shrugs off is retried once through [retry], under a
+   [retry.shard<i>] span; whatever stays unanswered is served by
+   [local]. *)
+let rec settle t shard ?retry ~local = function
+  | Got x ->
+      Supervisor.on_success t.sup shard;
+      x
+  | Dead ->
+      crash t shard;
+      local ()
+  | (Timed_out | Bad_frame _) as failure -> (
+      Obs.Metrics.incr
+        (match failure with
+        | Timed_out -> t.ctr.m_timeouts
+        | _ -> t.ctr.m_bad_frames);
+      match (Supervisor.on_soft_failure t.sup shard, retry, failure) with
+      | ( Supervisor.Keep,
+          Some again,
+          (Timed_out | Bad_frame { retryable = true }) ) ->
+          Obs.Metrics.incr t.ctr.m_retries;
+          (* a retry is exactly the unlucky path tracing exists for:
+             force the trace and nest a retry span *)
+          force_cur t;
+          let start = t.clock () in
+          let res = settle t shard ~local (again ()) in
+          child_span t (Printf.sprintf "retry.shard%d" shard) ~start;
+          res
+      | Supervisor.Keep, _, _ -> local ()
+      | verdict, _, _ ->
+          apply_verdict t shard verdict;
+          local ())
+
 let rec heal_shard t shard =
   match t.pending.(shard) with
   | None -> ()
   | Some ns -> (
       let b0 = t.clock () in
       wait_backoff t ns;
-      (match mint_child t with
-      | Some c ->
-          trace_span t
-            (Printf.sprintf "backoff.shard%d" shard)
-            ~span_id:(ctx_span_id c) ~start:b0
-      | None -> ());
+      child_span t (Printf.sprintf "backoff.shard%d" shard) ~start:b0;
       t.pending.(shard) <- None;
       Obs.Metrics.incr t.ctr.m_restarts;
       let conn = spawn_conn t shard ~with_chaos:false in
@@ -546,20 +624,9 @@ let degraded_local t ~opname ~shard f =
   let elapsed = Int64.sub (t.clock ()) t0 in
   Obs.Metrics.observe ?exemplar:(trace_exemplar t ()) h (Int64.to_int elapsed);
   Obs.Metrics.incr c;
-  (match (t.cur, mint_child t) with
-  | Some a, Some cc ->
-      a.a_spans <-
-        {
-          Obs.Trace_ctx.trace_hi = a.a_ctx.hi;
-          trace_lo = a.a_ctx.lo;
-          span_id = ctx_span_id cc;
-          parent_id = a.a_parent;
-          name = Printf.sprintf "recompute.shard%d.%s" shard opname;
-          start_ns = t0;
-          elapsed_ns = elapsed;
-        }
-        :: a.a_spans
-  | _ -> ());
+  child_span t ~elapsed
+    (Printf.sprintf "recompute.shard%d.%s" shard opname)
+    ~start:t0;
   res
 
 let fallback_answer t ~opname ~shard u v =
@@ -574,114 +641,48 @@ let answer_of_response resp =
   | Wire.Answer { dist; source; degraded; _ } -> Some { dist; source; degraded }
   | _ -> None
 
-(* One batch window on one shard: send every request, then collect in
-   order. A soft failure burns one bounded retry for its item; once the
-   supervisor escalates (restart or quarantine) the remaining items of
-   the window degrade to the local fallback — restarts wait for the
-   batch boundary. Returns [false] when the shard was demoted. *)
+(* One batch window on one shard: send every request, then await each
+   in order. Once the shard is demoted (a crash, or a supervisor
+   escalation) the rest of the window degrades to the local fallback;
+   restarts wait for the next batch. *)
 let window_size = 256
 
-let run_window t shard conn ~opname ~wctx items out =
-  let fallback_answer t u v = fallback_answer t ~opname ~shard u v in
-  let encode_query id u v =
-    Wire.encode_request_ctx ?ctx:wctx (Wire.Query { id; u; v })
-  in
-  let ids = Array.map (fun _ -> 0) items in
-  let sent = ref 0 in
-  (try
-     Array.iteri
-       (fun i (_, u, v) ->
-         let id = fresh_id t in
-         ids.(i) <- id;
-         match send_frame conn (encode_query id u v) with
-         | Ok () -> sent := i + 1
-         | Error _ -> raise Exit)
-       items
-   with Exit -> ());
-  let alive = ref true in
-  let crash_now () =
-    alive := false;
-    crash t shard
-  in
-  let soft_now () =
-    match Supervisor.on_soft_failure t.sup shard with
-    | Supervisor.Keep -> ()
-    | v ->
-        alive := false;
-        apply_verdict t shard v
+let run_window t shard conn ~opname ~ctx items out =
+  let query u v id = Wire.Query { id; u; v } in
+  (* after a failed write nothing more goes out *)
+  let writable = ref true in
+  let sent =
+    Array.map
+      (fun (_, u, v) ->
+        if not !writable then None
+        else
+          let id = send t conn ?ctx (query u v) in
+          writable := id <> None;
+          id)
+      items
   in
   Array.iteri
     (fun i (idx, u, v) ->
-      if not !alive then out.(idx) <- fallback_answer t u v
-      else if i >= !sent then begin
-        (* the send failed before this item went out *)
-        crash_now ();
-        out.(idx) <- fallback_answer t u v
-      end
-      else
-        let rec attempt ~id ~retried =
-          let until = Unix.gettimeofday () +. deadline_s t in
-          match recv_matching conn ~id ~until with
-          | Ok resp -> (
-              match answer_of_response resp with
-              | Some a ->
-                  Supervisor.on_success t.sup shard;
-                  out.(idx) <- a
-              | None ->
-                  (* Error_frame or a mismatched kind: soft *)
-                  Obs.Metrics.incr t.ctr.m_bad_frames;
-                  soft_now ();
-                  out.(idx) <- fallback_answer t u v)
-          | Error e when is_soft e -> (
-              (match e with
-              | Timeout -> Obs.Metrics.incr t.ctr.m_timeouts
-              | Wire_err _ -> Obs.Metrics.incr t.ctr.m_bad_frames);
-              match Supervisor.on_soft_failure t.sup shard with
-              | Supervisor.Keep when not retried ->
-                  Obs.Metrics.incr t.ctr.m_retries;
-                  (* a retry is exactly the unlucky path tracing exists
-                     for: force the trace and nest a retry span *)
-                  force_cur t;
-                  let rt0 = t.clock () in
-                  let id' = fresh_id t in
-                  (match send_frame conn (encode_query id' u v) with
-                  | Ok () ->
-                      attempt ~id:id' ~retried:true;
-                      (match mint_child t with
-                      | Some c ->
-                          trace_span t
-                            (Printf.sprintf "retry.shard%d" shard)
-                            ~span_id:(ctx_span_id c) ~start:rt0
-                      | None -> ())
-                  | Error _ ->
-                      crash_now ();
-                      out.(idx) <- fallback_answer t u v)
-              | Supervisor.Keep -> out.(idx) <- fallback_answer t u v
-              | verdict ->
-                  alive := false;
-                  apply_verdict t shard verdict;
-                  out.(idx) <- fallback_answer t u v)
-          | Error _ ->
-              crash_now ();
-              out.(idx) <- fallback_answer t u v
-        in
-        attempt ~id:ids.(i) ~retried:false)
-    items;
-  !alive
+      let local () = fallback_answer t ~opname ~shard u v in
+      out.(idx) <-
+        (if Option.is_none t.conns.(shard) then local ()
+         else
+           settle t shard ~local
+             ~retry:(fun () ->
+               exchange t conn ?ctx ~extract:answer_of_response (query u v))
+             (await t conn ~extract:answer_of_response sent.(i))))
+    items
 
 let query_batch_named t ~opname pairs =
   if t.down then invalid_arg "Router.query_batch: router is shut down";
+  let n = Graph.n t.cfg.graph in
+  (match Obs.Ops.validate ~n (Obs.Ops.Batch pairs) with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Router.query_batch: " ^ msg));
   let began = trace_begin t ("router." ^ opname) in
   Fun.protect
     ~finally:(fun () -> if began then trace_end t)
     (fun () ->
-      let n = Graph.n t.cfg.graph in
-      let owners =
-        Array.map
-          (fun (u, v) ->
-            Partition.owner_of_pair t.cfg.partition ~shards:t.cfg.shards ~n u v)
-          pairs
-      in
       heal t;
       let out =
         Array.make (Array.length pairs)
@@ -690,64 +691,35 @@ let query_batch_named t ~opname pairs =
       let per_shard = Array.make t.cfg.shards [] in
       Array.iteri
         (fun idx (u, v) ->
-          per_shard.(owners.(idx)) <- (idx, u, v) :: per_shard.(owners.(idx)))
+          let s =
+            Partition.owner_of_pair t.cfg.partition ~shards:t.cfg.shards ~n u v
+          in
+          per_shard.(s) <- (idx, u, v) :: per_shard.(s))
         pairs;
       for s = 0 to t.cfg.shards - 1 do
         let items = Array.of_list (List.rev per_shard.(s)) in
-        if Array.length items > 0 then begin
-          Obs.Metrics.incr ~by:(Array.length items) t.ctr.m_queries;
+        let len = Array.length items in
+        if len > 0 then begin
+          Obs.Metrics.incr ~by:len t.ctr.m_queries;
           Obs.Metrics.observe_span ~clock:t.clock
             ~exemplar:(fun () -> trace_exemplar t ())
             t.ctr.m_latency
             (fun () ->
-              match t.conns.(s) with
-              | None ->
-                  Array.iter
-                    (fun (idx, u, v) ->
-                      out.(idx) <- fallback_answer t ~opname ~shard:s u v)
-                    items
-              | Some conn ->
-                  Hashtbl.reset conn.c_stash;
-                  let k = ref 0 in
-                  let wj = ref 0 in
-                  let continue = ref true in
-                  while !continue && !k < Array.length items do
-                    let stop = min (Array.length items) (!k + window_size) in
-                    let window = Array.sub items !k (stop - !k) in
-                    (match t.conns.(s) with
-                    | Some c ->
-                        (* one rpc span per shard window; retries and
-                           recomputes inside the window nest under it *)
-                        let wctx = mint_child t in
-                        let w0 = t.clock () in
-                        let saved =
-                          Option.map (fun a -> a.a_parent) t.cur
-                        in
-                        (match (t.cur, wctx) with
-                        | Some a, Some c -> a.a_parent <- ctx_span_id c
-                        | _ -> ());
-                        continue :=
-                          run_window t s c ~opname ~wctx window out;
-                        (match (t.cur, saved) with
-                        | Some a, Some p -> a.a_parent <- p
-                        | _ -> ());
-                        (match wctx with
-                        | Some c ->
-                            trace_span t
-                              (Printf.sprintf "rpc.shard%d.w%d" s !wj)
-                              ~span_id:(ctx_span_id c) ~start:w0
-                        | None -> ())
-                    | None -> continue := false);
-                    incr wj;
-                    if not !continue then
-                      (* degrade the unsent remainder of this shard's
-                         batch *)
-                      for j = stop to Array.length items - 1 do
-                        let idx, u, v = items.(j) in
-                        out.(idx) <- fallback_answer t ~opname ~shard:s u v
-                      done;
-                    k := stop
-                  done)
+              Option.iter (fun c -> Hashtbl.reset c.c_stash) t.conns.(s);
+              for w = 0 to (len - 1) / window_size do
+                let k = w * window_size in
+                let window = Array.sub items k (min window_size (len - k)) in
+                match t.conns.(s) with
+                | None ->
+                    Array.iter
+                      (fun (idx, u, v) ->
+                        out.(idx) <- fallback_answer t ~opname ~shard:s u v)
+                      window
+                | Some conn ->
+                    (* one rpc span per shard window *)
+                    with_rpc_span t (Printf.sprintf "rpc.shard%d.w%d" s w)
+                      (fun ctx -> run_window t s conn ~opname ~ctx window out)
+              done)
         end
       done;
       out)
@@ -759,85 +731,6 @@ let query t u v = (query_batch_named t ~opname:"dist" [| (u, v) |]).(0)
 
 type op_result = { response : Obs.Ops.response; source : int; degraded : bool }
 
-(* One aggregate request to one shard, with the same failure taxonomy
-   as run_window: one bounded retry on a soft failure, supervisor
-   verdicts applied, crash on transport death. [extract] both matches
-   the expected payload kind and rejects malformed ones (a mismatch is
-   a soft failure). [None] means the caller must serve this shard's
-   share locally. *)
-let shard_call t shard ~extract make_req =
-  match t.conns.(shard) with
-  | None -> None
-  | Some conn ->
-      (* one rpc span per aggregate call; the context rides the frame
-         so the worker's own span nests under it *)
-      let wctx = mint_child t in
-      let t0 = t.clock () in
-      let saved = Option.map (fun a -> a.a_parent) t.cur in
-      (match (t.cur, wctx) with
-      | Some a, Some c -> a.a_parent <- ctx_span_id c
-      | _ -> ());
-      let finish res =
-        (match (t.cur, saved) with
-        | Some a, Some p -> a.a_parent <- p
-        | _ -> ());
-        (match wctx with
-        | Some c ->
-            trace_span t
-              (Printf.sprintf "rpc.shard%d" shard)
-              ~span_id:(ctx_span_id c) ~start:t0
-        | None -> ());
-        res
-      in
-      let rec attempt ~retried =
-        let id = fresh_id t in
-        match send_frame conn (Wire.encode_request_ctx ?ctx:wctx (make_req id))
-        with
-        | Error _ ->
-            crash t shard;
-            None
-        | Ok () -> (
-            let until = Unix.gettimeofday () +. deadline_s t in
-            match recv_matching conn ~id ~until with
-            | Ok resp -> (
-                match extract resp with
-                | Some x ->
-                    Supervisor.on_success t.sup shard;
-                    Some x
-                | None -> (
-                    Obs.Metrics.incr t.ctr.m_bad_frames;
-                    match Supervisor.on_soft_failure t.sup shard with
-                    | Supervisor.Keep -> None
-                    | v ->
-                        apply_verdict t shard v;
-                        None))
-            | Error e when is_soft e -> (
-                (match e with
-                | Timeout -> Obs.Metrics.incr t.ctr.m_timeouts
-                | Wire_err _ -> Obs.Metrics.incr t.ctr.m_bad_frames);
-                match Supervisor.on_soft_failure t.sup shard with
-                | Supervisor.Keep when not retried ->
-                    Obs.Metrics.incr t.ctr.m_retries;
-                    force_cur t;
-                    let rt0 = t.clock () in
-                    let res = attempt ~retried:true in
-                    (match mint_child t with
-                    | Some c ->
-                        trace_span t
-                          (Printf.sprintf "retry.shard%d" shard)
-                          ~span_id:(ctx_span_id c) ~start:rt0
-                    | None -> ());
-                    res
-                | Supervisor.Keep -> None
-                | v ->
-                    apply_verdict t shard v;
-                    None)
-            | Error _ ->
-                crash t shard;
-                None)
-      in
-      finish (attempt ~retried:false)
-
 let owned_by_shard t =
   let n = Graph.n t.cfg.graph in
   let buckets = Array.make t.cfg.shards [] in
@@ -846,6 +739,12 @@ let owned_by_shard t =
     buckets.(s) <- v :: buckets.(s)
   done;
   Array.map Array.of_list buckets
+
+(* [(shard, share)] for every shard with a non-empty share, ascending. *)
+let nonempty shares =
+  List.filter
+    (fun (_, a) -> Array.length a > 0)
+    (List.mapi (fun s a -> (s, a)) (Array.to_list shares))
 
 (* Local fallback for one shard's share of an aggregate: the search-only
    oracle answers the same restricted request exactly. *)
@@ -872,78 +771,94 @@ let bump acc ~code ~degraded =
   if code > acc.code then acc.code <- code;
   if degraded then acc.dg <- true
 
-let degrade acc =
-  bump acc ~code:Wire.source_router ~degraded:true
+(* Serve an aggregate's per-shard shares, in list order: each share
+   from its shard's worker, one [rpc.shard<i>] call with the point
+   path's retry and failure accounting, or, when the shard cannot
+   answer, from [local] (the router's own oracle, via
+   [degraded_local]). [extract] matches the expected payload and its
+   (source, degraded) pair; a mismatch is a bad frame. *)
+let fan_out t acc shares ~request ~extract ~local =
+  List.map
+    (fun (s, share) ->
+      let remote =
+        match t.conns.(s) with
+        | None -> None
+        | Some conn ->
+            with_rpc_span t (Printf.sprintf "rpc.shard%d" s) (fun ctx ->
+                let call () =
+                  exchange t conn ?ctx
+                    ~extract:(fun resp ->
+                      Option.map Option.some (extract share resp))
+                    (request share)
+                in
+                settle t s ~retry:call ~local:(fun () -> None) (call ()))
+      in
+      match remote with
+      | Some (x, code, degraded) ->
+          bump acc ~code ~degraded;
+          x
+      | None ->
+          bump acc ~code:Wire.source_router ~degraded:true;
+          local s share)
+    shares
 
 (* Distances from [source] to every target, each target served by its
    owning shard (slice rows are exact at owned entries). *)
 let row_op t acc ~opname ~source ~targets =
   let n = Graph.n t.cfg.graph in
-  let out = Array.make (Array.length targets) 0 in
   let per_shard = Array.make t.cfg.shards [] in
   Array.iteri
     (fun i w ->
       let s = Partition.owner t.cfg.partition ~shards:t.cfg.shards ~n w in
       per_shard.(s) <- i :: per_shard.(s))
     targets;
-  for s = 0 to t.cfg.shards - 1 do
-    let idxs = Array.of_list (List.rev per_shard.(s)) in
-    if Array.length idxs > 0 then begin
-      let ts = Array.map (fun i -> targets.(i)) idxs in
-      let result =
-        shard_call t s
-          ~extract:(function
-            | Wire.Row_payload { dists; source; degraded; _ }
-              when Array.length dists = Array.length ts ->
-                Some (dists, source, degraded)
-            | _ -> None)
-          (fun id -> Wire.Op_row { id; source; targets = ts })
-      in
-      match result with
-      | Some (dists, code, degraded) ->
-          Array.iteri (fun j i -> out.(i) <- dists.(j)) idxs;
-          bump acc ~code ~degraded
-      | None ->
-          let ds = fb_row t ~opname ~shard:s ~source ~targets:ts in
-          Array.iteri (fun j i -> out.(i) <- ds.(j)) idxs;
-          degrade acc
-    end
-  done;
+  let shares =
+    nonempty (Array.map (fun l -> Array.of_list (List.rev l)) per_shard)
+  in
+  let out = Array.make (Array.length targets) 0 in
+  let rows =
+    fan_out t acc shares
+      ~request:(fun idxs id ->
+        Wire.Op_row
+          { id; source; targets = Array.map (Array.get targets) idxs })
+      ~extract:(fun idxs -> function
+        | Wire.Row_payload { dists; source; degraded; _ }
+          when Array.length dists = Array.length idxs ->
+            Some (dists, source, degraded)
+        | _ -> None)
+      ~local:(fun s idxs ->
+        fb_row t ~opname ~shard:s ~source
+          ~targets:(Array.map (Array.get targets) idxs))
+  in
+  List.iter2
+    (fun (_, idxs) ds -> Array.iteri (fun j i -> out.(i) <- ds.(j)) idxs)
+    shares rows;
   out
+
+(* Per-shard candidates over each shard's owned vertices, shards asked
+   in descending order and returned ascending. *)
+let owned_candidates t acc ~request ~extract ~local =
+  List.rev
+    (fan_out t acc
+       (List.rev (nonempty (owned_by_shard t)))
+       ~request:(fun _ -> request) ~extract:(fun _ -> extract) ~local)
 
 (* The farthest owned (vertex, dist) witness of [v] per shard; the
    global farthest is then farthest_of over the per-shard witnesses
    (each already the smallest-id in its shard, so the shared reducer
    reconstructs the global tie-break). *)
-let ecc_candidates t acc ~opname v =
-  let owned = owned_by_shard t in
-  let cands = ref [] in
-  for s = t.cfg.shards - 1 downto 0 do
-    let ow = owned.(s) in
-    if Array.length ow > 0 then begin
-      let result =
-        shard_call t s
-          ~extract:(function
-            | Wire.Ecc_payload { vertex; dist; source; degraded; _ }
-              when vertex >= 0 ->
-                Some (vertex, dist, source, degraded)
-            | _ -> None)
-          (fun id -> Wire.Op_ecc { id; v })
-      in
-      match result with
-      | Some (vertex, dist, code, degraded) ->
-          cands := (vertex, dist) :: !cands;
-          bump acc ~code ~degraded
-      | None ->
-          let ds = fb_row t ~opname ~shard:s ~source:v ~targets:ow in
-          (match Obs.Ops.farthest_of (Array.mapi (fun i d -> (ow.(i), d)) ds)
-           with
-          | Some c -> cands := c :: !cands
-          | None -> ());
-          degrade acc
-    end
-  done;
-  Array.of_list !cands
+let farthest t acc ~opname v =
+  owned_candidates t acc
+    ~request:(fun id -> Wire.Op_ecc { id; v })
+    ~extract:(function
+      | Wire.Ecc_payload { vertex; dist; source; degraded; _ } when vertex >= 0
+        ->
+          Some (Some (vertex, dist), source, degraded)
+      | _ -> None)
+    ~local:(fun s ow ->
+      let ds = fb_row t ~opname ~shard:s ~source:v ~targets:ow in
+      Obs.Ops.farthest_of (Array.mapi (fun i d -> (ow.(i), d)) ds))
+  |> List.filter_map Fun.id |> Array.of_list |> Obs.Ops.farthest_of
 
 let op_uninstrumented t req =
   let opname = Obs.Ops.name req in
@@ -969,74 +884,55 @@ let op_uninstrumented t req =
               (fun source -> row_op t acc ~opname ~source ~targets)
               sources))
   | Obs.Ops.Top_k_nearest { source; k } ->
-      let owned = owned_by_shard t in
-      let cands = ref [] in
-      for s = t.cfg.shards - 1 downto 0 do
-        let ow = owned.(s) in
-        if Array.length ow > 0 then begin
-          let result =
-            shard_call t s
-              ~extract:(function
-                | Wire.Topk_payload { pairs; source; degraded; _ } ->
-                    Some (pairs, source, degraded)
-                | _ -> None)
-              (fun id -> Wire.Op_topk { id; source; k })
-          in
-          match result with
-          | Some (pairs, code, degraded) ->
-              cands := pairs :: !cands;
-              bump acc ~code ~degraded
-          | None ->
-              let ds = fb_row t ~opname ~shard:s ~source ~targets:ow in
-              cands := Array.mapi (fun i d -> (ow.(i), d)) ds :: !cands;
-              degrade acc
-        end
-      done;
+      let cands =
+        owned_candidates t acc
+          ~request:(fun id -> Wire.Op_topk { id; source; k })
+          ~extract:(function
+            | Wire.Topk_payload { pairs; source; degraded; _ } ->
+                Some (pairs, source, degraded)
+            | _ -> None)
+          ~local:(fun s ow ->
+            let ds = fb_row t ~opname ~shard:s ~source ~targets:ow in
+            Array.mapi (fun i d -> (ow.(i), d)) ds)
+      in
       (* the global k smallest live in the union of per-shard k
          smallest *)
-      finish (Obs.Ops.R_nearest (Obs.Ops.k_nearest ~k (Array.concat !cands)))
+      finish (Obs.Ops.R_nearest (Obs.Ops.k_nearest ~k (Array.concat cands)))
   | Obs.Ops.Eccentricity v -> (
-      match Obs.Ops.farthest_of (ecc_candidates t acc ~opname v) with
+      match farthest t acc ~opname v with
       | Some (_, d) -> finish (Obs.Ops.R_ecc d)
       | None -> finish (Obs.Ops.R_ecc 0))
   | Obs.Ops.Farthest v -> (
-      match Obs.Ops.farthest_of (ecc_candidates t acc ~opname v) with
+      match farthest t acc ~opname v with
       | Some (vertex, dist) -> finish (Obs.Ops.R_farthest { vertex; dist })
       | None -> finish (Obs.Ops.R_farthest { vertex = v; dist = 0 }))
-  | Obs.Ops.Diameter_radius ->
-      let owned = owned_by_shard t in
-      let dia = ref 0 and rad = ref max_int and saw = ref false in
-      for s = 0 to t.cfg.shards - 1 do
-        let ow = owned.(s) in
-        if Array.length ow > 0 then begin
-          saw := true;
-          let result =
-            shard_call t s
-              ~extract:(function
-                | Wire.Diam_payload
-                    { diameter; radius; vertices; source; degraded; _ }
-                  when vertices > 0 ->
-                    Some (diameter, radius, source, degraded)
-                | _ -> None)
-              (fun id -> Wire.Op_diam { id })
+  | Obs.Ops.Diameter_radius -> (
+      let extrema =
+        fan_out t acc
+          (nonempty (owned_by_shard t))
+          ~request:(fun _ id -> Wire.Op_diam { id })
+          ~extract:(fun _ -> function
+            | Wire.Diam_payload
+                { diameter; radius; vertices; source; degraded; _ }
+              when vertices > 0 ->
+                Some ((diameter, radius), source, degraded)
+            | _ -> None)
+          ~local:(fun s ow ->
+            Array.fold_left
+              (fun (dia, rad) w ->
+                let e = fb_ecc t ~opname ~shard:s w in
+                (max dia e, min rad e))
+              (0, max_int) ow)
+      in
+      match extrema with
+      | [] -> finish (Obs.Ops.R_diam_rad { diameter = 0; radius = 0 })
+      | _ ->
+          let diameter, radius =
+            List.fold_left
+              (fun (dia, rad) (d, r) -> (max dia d, min rad r))
+              (0, max_int) extrema
           in
-          match result with
-          | Some (d, r, code, degraded) ->
-              if d > !dia then dia := d;
-              if r < !rad then rad := r;
-              bump acc ~code ~degraded
-          | None ->
-              Array.iter
-                (fun w ->
-                  let e = fb_ecc t ~opname ~shard:s w in
-                  if e > !dia then dia := e;
-                  if e < !rad then rad := e)
-                ow;
-              degrade acc
-        end
-      done;
-      if not !saw then finish (Obs.Ops.R_diam_rad { diameter = 0; radius = 0 })
-      else finish (Obs.Ops.R_diam_rad { diameter = !dia; radius = !rad })
+          finish (Obs.Ops.R_diam_rad { diameter; radius }))
 
 let op t req =
   if t.down then invalid_arg "Router.op: router is shut down";
@@ -1061,85 +957,56 @@ let supervisor t = t.sup
 let metrics t = t.reg
 let pid t shard = Option.map (fun c -> c.c_pid) t.conns.(shard)
 
-let merged_snapshot t =
+(* Fetch one payload from every live shard, highest shard first, with
+   the point path's failure accounting but no retry: a shard that
+   cannot answer contributes nothing. Returns [(shard, payload)]. *)
+let fetch_all t ~extract make_req =
   heal t;
-  let snaps = ref [] in
-  for s = t.cfg.shards - 1 downto 0 do
-    match t.conns.(s) with
-    | None -> ()
-    | Some conn -> (
-        let id = fresh_id t in
-        match send_frame conn (Wire.encode_request (Wire.Stats { id })) with
-        | Error _ -> crash t s
-        | Ok () -> (
-            match
-              recv_matching conn ~id
-                ~until:(Unix.gettimeofday () +. deadline_s t)
-            with
-            | Ok (Wire.Stats_payload { data; _ }) -> (
-                match Obs.Metrics.snapshot_of_wire data with
-                | Ok snap ->
-                    Supervisor.on_success t.sup s;
-                    snaps :=
-                      Obs.Metrics.prefix_snapshot (Printf.sprintf "shard%d." s)
-                        snap
-                      :: !snaps
-                | Error _ ->
-                    Obs.Metrics.incr t.ctr.m_bad_frames;
-                    apply_verdict t s (Supervisor.on_soft_failure t.sup s))
-            | Ok _ | Error (Wire_err (Wire.Bad_opcode _ | Wire.Bad_payload _))
-              ->
-                Obs.Metrics.incr t.ctr.m_bad_frames;
-                apply_verdict t s (Supervisor.on_soft_failure t.sup s)
-            | Error Timeout ->
-                Obs.Metrics.incr t.ctr.m_timeouts;
-                apply_verdict t s (Supervisor.on_soft_failure t.sup s)
-            | Error (Wire_err _) -> crash t s))
-  done;
-  Obs.Metrics.union_snapshots (Obs.Metrics.snapshot t.reg :: !snaps)
+  List.filter_map
+    (fun s ->
+      match t.conns.(s) with
+      | None -> None
+      | Some conn ->
+          settle t s ~local:(fun () -> None)
+            (exchange t conn
+               ~extract:(fun resp ->
+                 Option.map (fun x -> Some (s, x)) (extract resp))
+               make_req))
+    (List.init t.cfg.shards (fun i -> t.cfg.shards - 1 - i))
+
+let merged_snapshot t =
+  let snaps =
+    fetch_all t
+      ~extract:(function
+        | Wire.Stats_payload { data; _ } ->
+            Result.to_option (Obs.Metrics.snapshot_of_wire data)
+        | _ -> None)
+      (fun id -> Wire.Stats { id })
+  in
+  Obs.Metrics.union_snapshots
+    (Obs.Metrics.snapshot t.reg
+    :: List.map
+         (fun (s, snap) ->
+           Obs.Metrics.prefix_snapshot (Printf.sprintf "shard%d." s) snap)
+         snaps)
 
 (* Pull every live worker's span store, merge with the router's own,
-   and reassemble into one tree per trace. Failures follow the same
-   soft taxonomy as [merged_snapshot]: a shard that cannot report its
-   spans degrades the fetch, never the caller. *)
+   and reassemble into one tree per trace. A shard that cannot report
+   its spans degrades the fetch, never the caller. *)
 let trace_trees t =
   match t.tstore with
   | None -> []
   | Some store ->
-      heal t;
-      let spans = ref (Obs.Trace_ctx.spans store) in
-      for s = t.cfg.shards - 1 downto 0 do
-        match t.conns.(s) with
-        | None -> ()
-        | Some conn -> (
-            let id = fresh_id t in
-            match
-              send_frame conn (Wire.encode_request (Wire.Trace_fetch { id }))
-            with
-            | Error _ -> crash t s
-            | Ok () -> (
-                match
-                  recv_matching conn ~id
-                    ~until:(Unix.gettimeofday () +. deadline_s t)
-                with
-                | Ok (Wire.Trace_payload { data; _ }) -> (
-                    match Obs.Trace_ctx.spans_of_wire data with
-                    | Ok sps ->
-                        Supervisor.on_success t.sup s;
-                        spans := !spans @ sps
-                    | Error _ ->
-                        Obs.Metrics.incr t.ctr.m_bad_frames;
-                        apply_verdict t s (Supervisor.on_soft_failure t.sup s))
-                | Ok _
-                | Error (Wire_err (Wire.Bad_opcode _ | Wire.Bad_payload _)) ->
-                    Obs.Metrics.incr t.ctr.m_bad_frames;
-                    apply_verdict t s (Supervisor.on_soft_failure t.sup s)
-                | Error Timeout ->
-                    Obs.Metrics.incr t.ctr.m_timeouts;
-                    apply_verdict t s (Supervisor.on_soft_failure t.sup s)
-                | Error (Wire_err _) -> crash t s))
-      done;
-      Obs.Trace_ctx.tree !spans
+      let spans =
+        fetch_all t
+          ~extract:(function
+            | Wire.Trace_payload { data; _ } ->
+                Result.to_option (Obs.Trace_ctx.spans_of_wire data)
+            | _ -> None)
+          (fun id -> Wire.Trace_fetch { id })
+      in
+      Obs.Trace_ctx.tree
+        (List.concat (Obs.Trace_ctx.spans store :: List.map snd spans))
 
 let shutdown t =
   if not t.down then begin

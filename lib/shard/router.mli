@@ -7,11 +7,20 @@
     each query pair to the shard owning it
     ({!Repro_hub.Partition.owner_of_pair}) and speaks {!Wire} over the
     pipes. Batches are pipelined per shard: all requests are written
-    first, responses collected in id order, stale or reordered frames
-    discarded by id.
+    first, then each response is awaited by its id. A frame that
+    answers another id (a pipelined item not yet awaited, or a late
+    answer to a request that already timed out) is stashed on the
+    connection, never dropped, and handed over when its id is awaited.
+    A connection's stash is emptied at one point only: when a point
+    batch starts on that shard, because every id stashed before then
+    belongs to a request that has already been settled.
 
     Failure handling is delegated to a {!Supervisor}: deadline misses
     and unparseable frames are soft failures, EOF/EPIPE are crashes.
+    Point queries, aggregate ops, stats fetches and trace fetches share
+    this taxonomy and its accounting. Point items and ops retry a soft
+    failure once; stats fetches, trace fetches and pings never retry,
+    and a failed ping touches no counter.
     When the supervisor orders a restart the router waits out the
     backoff ({b advancing the manual clock} instead of sleeping when
     [clock_step] is set — that is what makes the chaos suite both fast
@@ -114,7 +123,9 @@ val query : t -> int -> int -> answer
 
 val query_batch : t -> (int * int) array -> answer array
 (** Pipelined batch, one answer per pair, in order. Restarts are
-    healed before the batch and never during it. *)
+    healed before the batch and never during it.
+    @raise Invalid_argument on an out-of-range endpoint, before any
+    frame is sent. *)
 
 type op_result = {
   response : Repro_obs.Ops.response;

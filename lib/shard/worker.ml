@@ -84,6 +84,9 @@ let write_response ~chaos ~frames_written output resp =
         in
         dribble 0
 
+(* the oracle answered an op with a response of another kind *)
+exception Unexpected_shape
+
 let build_backend cfg metrics clock =
   let store =
     Option.map
@@ -171,11 +174,44 @@ let run ~input ~output cfg =
     | Wire.Error_frame _ -> true
     | Wire.Pong _ | Wire.Stats_payload _ | Wire.Trace_payload _ -> false
   in
-  (* Wrap one request's handler in a child span of [ctx]. The span is
-     recorded when the context was (force-)sampled upstream, or when
-     this worker itself served a degraded/failed answer — the local
-     evidence for a trace the router will force-sample on its side. *)
-  let with_trace ctx opname compute =
+  let shard_gauge = Obs.Metrics.gauge metrics "worker.shard" in
+  Obs.Metrics.set_gauge shard_gauge cfg.shard;
+  let seed_gauge = Obs.Metrics.gauge metrics "worker.seed" in
+  Obs.Metrics.set_gauge seed_gauge cfg.seed;
+  let bad_frames = Obs.Metrics.counter metrics "worker.bad_frames" in
+  let source_code src =
+    Wire.source_code_of_name (Resilient_oracle.source_name src)
+  in
+  let degraded source = source <> Wire.source_primary in
+  (* distances from [source] to every owned vertex, as (vertex, dist)
+     pairs; an empty share never reaches the oracle *)
+  let owned_row source =
+    if Array.length owned = 0 then ([||], Wire.source_primary)
+    else
+      match serve_op (Obs.Ops.One_to_many { source; targets = owned }) with
+      | Obs.Ops.R_dists ds, src ->
+          (Array.mapi (fun i d -> (owned.(i), d)) ds, source_code src)
+      | _ -> raise Unexpected_shape
+  in
+  (* Serve one point query or op in a child span of [ctx]; a rejected
+     request or an oracle answer of the wrong shape becomes an in-band
+     error frame. The span is recorded when the context was
+     (force-)sampled upstream, or when this worker itself served a
+     degraded/failed answer — the local evidence for a trace the router
+     will force-sample on its side. *)
+  let op ctx opname id payload =
+    let compute () =
+      try payload () with
+      | Invalid_argument msg ->
+          Wire.Error_frame { id; code = Wire.err_bad_request; msg }
+      | Unexpected_shape ->
+          Wire.Error_frame
+            {
+              id;
+              code = Wire.err_unavailable;
+              msg = "unexpected response shape";
+            }
+    in
     match ctx with
     | None ->
         cur_exemplar := None;
@@ -203,228 +239,107 @@ let run ~input ~output cfg =
         end;
         resp
   in
-  let source_code src =
-    Wire.source_code_of_name (Resilient_oracle.source_name src)
-  in
-  let shard_gauge = Obs.Metrics.gauge metrics "worker.shard" in
-  Obs.Metrics.set_gauge shard_gauge cfg.shard;
-  let seed_gauge = Obs.Metrics.gauge metrics "worker.seed" in
-  Obs.Metrics.set_gauge seed_gauge cfg.seed;
-  let bad_frames = Obs.Metrics.counter metrics "worker.bad_frames" in
-  let frames_written = ref 0 in
-  let send resp =
-    match write_response ~chaos:cfg.chaos ~frames_written output resp with
-    | Ok () -> true
-    | Error _ -> false (* router hung up; stop serving *)
-  in
-  let rec loop () =
-    match Wire.read_request_ctx input with
+  (* One request in, its one response out; [None] ends the loop. *)
+  let respond = function
     | Ok (Wire.Query { id; u; v }, ctx) ->
-        let resp =
-          with_trace ctx "dist" (fun () ->
-              match Obs.Backend.query_detailed backend u v with
-              | dist, trace ->
-                  let source =
-                    Wire.source_code_of_name trace.Obs.Trace.source
-                  in
-                  Wire.Answer
-                    {
-                      id;
-                      dist;
-                      source;
-                      degraded = source <> Wire.source_primary;
-                    }
-              | exception Invalid_argument msg ->
-                  Wire.Error_frame { id; code = Wire.err_bad_request; msg })
-        in
-        if send resp then loop ()
+        Some
+          (op ctx "dist" id (fun () ->
+               let dist, trace = Obs.Backend.query_detailed backend u v in
+               let source = Wire.source_code_of_name trace.Obs.Trace.source in
+               Wire.Answer { id; dist; source; degraded = degraded source }))
     | Ok (Wire.Op_row { id; source; targets }, ctx) ->
-        let resp =
-          with_trace ctx "one_to_many" (fun () ->
-          match serve_op (Obs.Ops.One_to_many { source; targets }) with
-          | Obs.Ops.R_dists dists, src ->
-              let source = source_code src in
-              Wire.Row_payload
-                { id; dists; source; degraded = source <> Wire.source_primary }
-          | _ ->
-              Wire.Error_frame
-                {
-                  id;
-                  code = Wire.err_unavailable;
-                  msg = "unexpected response shape";
-                }
-          | exception Invalid_argument msg ->
-              Wire.Error_frame { id; code = Wire.err_bad_request; msg })
-        in
-        if send resp then loop ()
+        Some
+          (op ctx "one_to_many" id (fun () ->
+               match serve_op (Obs.Ops.One_to_many { source; targets }) with
+               | Obs.Ops.R_dists dists, src ->
+                   let source = source_code src in
+                   Wire.Row_payload
+                     { id; dists; source; degraded = degraded source }
+               | _ -> raise Unexpected_shape))
     | Ok (Wire.Op_ecc { id; v }, ctx) ->
-        let resp =
-          with_trace ctx "eccentricity" (fun () ->
-          if Array.length owned = 0 then
-            Wire.Ecc_payload
-              {
-                id;
-                vertex = -1;
-                dist = 0;
-                source = Wire.source_primary;
-                degraded = false;
-              }
-          else
-            match serve_op (Obs.Ops.One_to_many { source = v; targets = owned })
-            with
-            | Obs.Ops.R_dists ds, src -> (
-                match
-                  Obs.Ops.farthest_of (Array.mapi (fun i d -> (owned.(i), d)) ds)
-                with
-                | Some (vertex, dist) ->
-                    let source = source_code src in
-                    Wire.Ecc_payload
-                      {
-                        id;
-                        vertex;
-                        dist;
-                        source;
-                        degraded = source <> Wire.source_primary;
-                      }
-                | None ->
-                    Wire.Error_frame
-                      {
-                        id;
-                        code = Wire.err_unavailable;
-                        msg = "empty reduction";
-                      })
-            | _ ->
-                Wire.Error_frame
-                  {
-                    id;
-                    code = Wire.err_unavailable;
-                    msg = "unexpected response shape";
-                  }
-            | exception Invalid_argument msg ->
-                Wire.Error_frame { id; code = Wire.err_bad_request; msg })
-        in
-        if send resp then loop ()
-    | Ok (Wire.Op_topk { id; source = s; k }, ctx) ->
-        let resp =
-          with_trace ctx "top_k_nearest" (fun () ->
-          if k < 0 then
-            Wire.Error_frame
-              {
-                id;
-                code = Wire.err_bad_request;
-                msg = "top-k: k must be non-negative";
-              }
-          else if Array.length owned = 0 then
-            Wire.Topk_payload
-              { id; pairs = [||]; source = Wire.source_primary; degraded = false }
-          else
-            match serve_op (Obs.Ops.One_to_many { source = s; targets = owned })
-            with
-            | Obs.Ops.R_dists ds, src ->
-                let pairs =
-                  Obs.Ops.k_nearest ~k
-                    (Array.mapi (fun i d -> (owned.(i), d)) ds)
-                in
-                let source = source_code src in
-                Wire.Topk_payload
-                  { id; pairs; source; degraded = source <> Wire.source_primary }
-            | _ ->
-                Wire.Error_frame
-                  {
-                    id;
-                    code = Wire.err_unavailable;
-                    msg = "unexpected response shape";
-                  }
-            | exception Invalid_argument msg ->
-                Wire.Error_frame { id; code = Wire.err_bad_request; msg })
-        in
-        if send resp then loop ()
+        Some
+          (op ctx "eccentricity" id (fun () ->
+               let pairs, source = owned_row v in
+               (* vertex -1: this shard owns no vertex *)
+               let vertex, dist =
+                 Option.value (Obs.Ops.farthest_of pairs) ~default:(-1, 0)
+               in
+               Wire.Ecc_payload
+                 { id; vertex; dist; source; degraded = degraded source }))
+    | Ok (Wire.Op_topk { id; source; k }, ctx) ->
+        Some
+          (op ctx "top_k_nearest" id (fun () ->
+               if k < 0 then invalid_arg "top-k: k must be non-negative";
+               let pairs, source = owned_row source in
+               Wire.Topk_payload
+                 {
+                   id;
+                   pairs = Obs.Ops.k_nearest ~k pairs;
+                   source;
+                   degraded = degraded source;
+                 }))
     | Ok (Wire.Op_diam { id }, ctx) ->
-        let resp =
-          with_trace ctx "diameter_radius" (fun () ->
-          if Array.length owned = 0 then
-            Wire.Diam_payload
-              {
-                id;
-                diameter = 0;
-                radius = 0;
-                vertices = 0;
-                source = Wire.source_primary;
-                degraded = false;
-              }
-          else begin
-            (* one global eccentricity per owned vertex — exact on a
-               slice because the source is owned *)
-            let dia = ref 0
-            and rad = ref max_int
-            and code = ref Wire.source_primary
-            and bad = ref None in
-            Array.iter
-              (fun w ->
-                if !bad = None then
-                  match serve_op (Obs.Ops.Eccentricity w) with
-                  | Obs.Ops.R_ecc e, src ->
-                      if e > !dia then dia := e;
-                      if e < !rad then rad := e;
-                      let c = source_code src in
-                      if c > !code then code := c
-                  | _ ->
-                      bad :=
-                        Some
-                          (Wire.Error_frame
-                             {
-                               id;
-                               code = Wire.err_unavailable;
-                               msg = "unexpected response shape";
-                             })
-                  | exception Invalid_argument msg ->
-                      bad :=
-                        Some
-                          (Wire.Error_frame
-                             { id; code = Wire.err_bad_request; msg }))
-              owned;
-            match !bad with
-            | Some e -> e
-            | None ->
-                Wire.Diam_payload
-                  {
-                    id;
-                    diameter = !dia;
-                    radius = !rad;
-                    vertices = Array.length owned;
-                    source = !code;
-                    degraded = !code <> Wire.source_primary;
-                  }
-          end)
-        in
-        if send resp then loop ()
-    | Ok (Wire.Ping { id }, _) -> if send (Wire.Pong { id }) then loop ()
+        Some
+          (op ctx "diameter_radius" id (fun () ->
+               (* one global eccentricity per owned vertex — exact on a
+                  slice because the source is owned *)
+               let eccs =
+                 Array.map
+                   (fun w ->
+                     match serve_op (Obs.Ops.Eccentricity w) with
+                     | Obs.Ops.R_ecc e, src -> (e, source_code src)
+                     | _ -> raise Unexpected_shape)
+                   owned
+               in
+               let fold f init = Array.fold_left f init eccs in
+               let source =
+                 fold (fun m (_, c) -> max m c) Wire.source_primary
+               in
+               Wire.Diam_payload
+                 {
+                   id;
+                   diameter = fold (fun m (e, _) -> max m e) 0;
+                   radius =
+                     (if eccs = [||] then 0
+                      else fold (fun m (e, _) -> min m e) max_int);
+                   vertices = Array.length owned;
+                   source;
+                   degraded = degraded source;
+                 }))
+    | Ok (Wire.Ping { id }, _) -> Some (Wire.Pong { id })
     | Ok (Wire.Stats { id }, _) ->
         (* no runtime-gauge sampling here: GC counters depend on the
            process's whole allocation history, and a forked worker's
            differs run to run — the merged snapshot must stay
            byte-identical across same-seed chaos runs *)
         let data = Obs.Metrics.(snapshot_to_wire (snapshot metrics)) in
-        if send (Wire.Stats_payload { id; data }) then loop ()
+        Some (Wire.Stats_payload { id; data })
     | Ok (Wire.Trace_fetch { id }, _) ->
         let data = Obs.Trace_ctx.spans_to_wire (Obs.Trace_ctx.spans tstore) in
-        if send (Wire.Trace_payload { id; data }) then loop ()
-    | Ok (Wire.Shutdown, _) -> ()
+        Some (Wire.Trace_payload { id; data })
+    | Ok (Wire.Shutdown, _) -> None
     | Error ((Wire.Bad_opcode _ | Wire.Bad_payload _) as e) ->
         (* the frame was read in full; the stream is still in sync *)
         Obs.Metrics.incr bad_frames;
-        let resp =
-          Wire.Error_frame
-            {
-              id = 0;
-              code = Wire.err_bad_request;
-              msg = Wire.error_to_string e;
-            }
-        in
-        if send resp then loop ()
+        Some
+          (Wire.Error_frame
+             {
+               id = 0;
+               code = Wire.err_bad_request;
+               msg = Wire.error_to_string e;
+             })
     | Error (Wire.Eof | Wire.Truncated _ | Wire.Negative_length _
             | Wire.Oversized _ | Wire.Io _) ->
         (* EOF or a desynchronised stream: nothing sane can follow *)
-        ()
+        None
+  in
+  let frames_written = ref 0 in
+  let rec loop () =
+    match respond (Wire.read_request_ctx input) with
+    | None -> ()
+    | Some resp -> (
+        match write_response ~chaos:cfg.chaos ~frames_written output resp with
+        | Ok () -> loop ()
+        | Error _ -> () (* router hung up; stop serving *))
   in
   loop ()

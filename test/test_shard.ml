@@ -330,6 +330,7 @@ let test_worker_serves_frames () =
       clock_step = Some 1000L }
   in
   let truth = Hub_label.query labels 0 41 in
+  let n = Hub_label.n labels in
   with_worker_io cfg
     [
       Wire.encode_request (Wire.Ping { id = 1 });
@@ -338,6 +339,14 @@ let test_worker_serves_frames () =
       Wire.encode_request (Wire.Stats { id = 4 });
       "\x01\x00\x00\x00\x7f" (* unknown opcode: in-band error, keep going *);
       Wire.encode_request (Wire.Query { id = 5; u = 0; v = 7000 });
+      (* every op arm rejects a bad request in-band, with its own id *)
+      Wire.encode_request (Wire.Op_row { id = 6; source = 0; targets = [| 1; n |] });
+      Wire.encode_request (Wire.Op_row { id = 7; source = n; targets = [| 1 |] });
+      Wire.encode_request (Wire.Op_ecc { id = 8; v = n });
+      Wire.encode_request (Wire.Op_topk { id = 9; source = 0; k = -1 });
+      Wire.encode_request (Wire.Op_topk { id = 10; source = n; k = 3 });
+      Wire.encode_request (Wire.Trace_fetch { id = 11 });
+      Wire.encode_request (Wire.Query { id = 12; u = 0; v = 41 });
       Wire.encode_request Wire.Shutdown;
     ]
     (fun fd ->
@@ -365,10 +374,40 @@ let test_worker_serves_frames () =
       | Wire.Error_frame { code; _ } ->
           Test_util.check_int "bad request code" Wire.err_bad_request code
       | _ -> Alcotest.fail "expected Error_frame for bad opcode");
-      match read_response_exn fd with
+      (match read_response_exn fd with
       | Wire.Error_frame { id = 5; code; _ } ->
           Test_util.check_int "out of range rejected" Wire.err_bad_request code
-      | _ -> Alcotest.fail "expected Error_frame 5")
+      | _ -> Alcotest.fail "expected Error_frame 5");
+      let out_of_range =
+        Printf.sprintf "Resilient_oracle.op: vertex %d out of range [0, %d)" n n
+      in
+      List.iter
+        (fun (want_id, want_msg) ->
+          match read_response_exn fd with
+          | Wire.Error_frame { id; code; msg } ->
+              Test_util.check_int "error frame id" want_id id;
+              Test_util.check_int "bad request code" Wire.err_bad_request code;
+              Alcotest.(check string) "error message" want_msg msg
+          | _ -> Alcotest.failf "expected Error_frame %d" want_id)
+        [
+          (6, out_of_range);
+          (7, out_of_range);
+          (8, out_of_range);
+          (9, "top-k: k must be non-negative");
+          (10, out_of_range);
+        ];
+      (match read_response_exn fd with
+      | Wire.Trace_payload { id = 11; data } ->
+          Test_util.check_bool "no spans without a traced request" true
+            (Repro_obs.Trace_ctx.spans_of_wire data = Ok [])
+      | _ -> Alcotest.fail "expected Trace_payload 11");
+      (match read_response_exn fd with
+      | Wire.Answer { id = 12; dist; _ } ->
+          Test_util.check_int "still serving after the errors" truth dist
+      | _ -> Alcotest.fail "expected Answer 12");
+      match Wire.read_response fd with
+      | Error Wire.Eof -> ()
+      | _ -> Alcotest.fail "expected exactly one response per request")
 
 let test_worker_chaos_corrupt_frame () =
   let g, labels = worker_fixture () in

@@ -18,7 +18,11 @@
    4. exec-mode workers: the real `hubhard serve worker` subprocess
       speaking the same wire protocol;
    5. `hubhard serve loop` draining on SIGTERM with a complete final
-      snapshot (never a truncated or dangling .tmp file).
+      snapshot (never a truncated or dangling .tmp file);
+   6. a fault x request-kind matrix: one kill/corrupt/truncate/hang on
+      shard 1 against a batch, every op, the stats fetch and the trace
+      fetch, with the router's failure accounting pinned;
+   7. an out-of-range pair rejected before it reaches a worker.
 
    The CLI path arrives as argv.(1). *)
 
@@ -280,7 +284,166 @@ let () =
   check "sigterm: marked final" (contains "\"final\": true");
   check "sigterm: drain reason recorded" (contains "serve_loop.drain");
   Printf.printf "scenario 5 (serve loop SIGTERM drain): ok\n%!";
+  Sys.remove snap_path
+
+(* ----- 6. fault x request-kind matrix -------------------------------- *)
+
+(* One fault on shard 1, fired on its second response frame (the first
+   after the initial ping), against every kind of request the router
+   sends: point batches, each op, the stats fetch and the trace fetch.
+   Each case runs the request, checks the answer against the in-process
+   oracle, runs it again after healing (exact and clean), and pins the
+   router's failure accounting. *)
+
+type kind = Op of Repro_obs.Ops.request | Snapshot | Traces
+
+let matrix_kinds =
+  let module Ops = Repro_obs.Ops in
+  [
+    ("batch", Op (Ops.Batch (Array.sub queries 0 24)));
+    ( "one-to-many",
+      Op
+        (Ops.One_to_many
+           { source = 3; targets = Array.map fst (Array.sub queries 0 40) })
+    );
+    ("top-k", Op (Ops.Top_k_nearest { source = 5; k = 7 }));
+    ("ecc", Op (Ops.Eccentricity 11));
+    ("farthest", Op (Ops.Farthest 11));
+    ("diam-rad", Op Ops.Diameter_radius);
+    ("snapshot", Snapshot);
+    ("traces", Traces);
+  ]
+
+let matrix_faults =
+  Fault_injector.
+    [ ("kill", Kill); ("corrupt", Corrupt_frame); ("truncate", Truncate_frame);
+      ("hang", Hang) ]
+
+(* Pinned: (retries, bad_frames, timeouts, crashes, restarts) after the
+   second call, the degraded flag of the first and second call, and the
+   supervisor states after each. Stats and trace fetches never retry;
+   a hung worker behind one is restarted only on the second miss. *)
+let matrix_expected kind fault =
+  let h = "healthy" and s = "suspect" and r = "restarting" in
+  let row counts flags s1 s2 =
+    Printf.sprintf "%s %s %s,%s,%s / %s,%s,%s" counts flags h s1 h h s2 h
+  in
+  match (fault, kind) with
+  | ("kill" | "truncate"), "traces" -> row "0 0 0 1 1" "false false" r h
+  | ("kill" | "truncate"), _ -> row "0 0 0 1 1" "true false" r h
+  | "corrupt", "snapshot" -> row "0 1 0 0 0" "true false" s h
+  | "corrupt", "traces" -> row "0 1 0 0 0" "false false" s h
+  | "corrupt", _ -> row "1 1 0 0 0" "false false" h h
+  | _, "snapshot" -> row "0 0 2 0 0" "true true" s r
+  | _, "traces" -> row "0 0 2 0 0" "false false" s r
+  | _ -> row "1 0 2 0 1" "true false" r h
+
+let () =
+  let oracle = Hub_label.query labels in
+  let states r =
+    let sup = Router.supervisor r in
+    String.concat ","
+      (List.init 3 (fun s -> Supervisor.state_name (Supervisor.state sup s)))
+  in
+  let counter r name =
+    Option.value ~default:0
+      (Metrics.find_counter (Metrics.snapshot (Router.metrics r)) name)
+  in
+  (* run one request; the flag is "degraded" for ops and "shard 1 did
+     not contribute" for the stats fetch. No trace is recorded before
+     the trace fetch, so its flag stays false: the fetch frame itself
+     is what the fault hits. *)
+  let run r = function
+    | Op req ->
+        let res = Router.op r req in
+        check "matrix: op answer exact"
+          (Repro_obs.Ops.equal_response res.Router.response
+             (Repro_obs.Ops.brute ~n ~query:oracle req));
+        res.Router.degraded
+    | Snapshot ->
+        let snap = Router.merged_snapshot r in
+        Metrics.find_counter snap "shard1.worker.queries" = None
+    | Traces ->
+        ignore (Router.trace_trees r);
+        false
+  in
+  let cases = ref 0 in
+  List.iter
+    (fun (fname, fault) ->
+      List.iter
+        (fun (kname, kind) ->
+          let cfg =
+            {
+              base_cfg with
+              Router.shards = 3;
+              partition = Partition.Hash;
+              supervisor =
+                { Supervisor.default_config with deadline_ns = 100_000_000L };
+              chaos = [ (1, Fault_injector.chaos ~after_frames:2 fault) ];
+              trace =
+                (if kind = Traces then Some Router.default_trace_config
+                 else None);
+            }
+          in
+          let r = Router.create cfg in
+          let first = run r kind in
+          let first_states = states r in
+          let second = run r kind in
+          let got =
+            Printf.sprintf "%d %d %d %d %d %b %b %s / %s"
+              (counter r "router.retries")
+              (counter r "router.bad_frames")
+              (counter r "router.timeouts")
+              (counter r "router.crashes")
+              (counter r "router.restarts")
+              first second first_states (states r)
+          in
+          Router.heal r;
+          check
+            (Printf.sprintf "matrix %s@2 %s: clean after healing" fname kname)
+            (not (run r kind));
+          Router.shutdown r;
+          let want = matrix_expected kname fname in
+          if got <> want then
+            fail "matrix %s@2 %s: got [%s], want [%s]" fname kname got want;
+          incr cases)
+        matrix_kinds)
+    matrix_faults;
+  Printf.printf "scenario 6 (fault x request-kind matrix, %d cases): ok\n%!"
+    !cases
+
+(* ----- 7. an out-of-range endpoint is the caller's error ------------- *)
+
+(* [(0, n)] routes by its in-range endpoint, so only an up-front check
+   keeps it off the wire: a worker's in-band rejection would otherwise
+   count against a healthy shard until the supervisor kills it. *)
+let () =
+  let router = Router.create base_cfg in
+  let pid0 = Router.pid router 0 in
+  for _ = 1 to 4 do
+    match Router.query_batch router [| (0, n) |] with
+    | _ -> fail "out-of-range: query_batch answered (0, %d)" n
+    | exception Invalid_argument _ -> incr passed
+  done;
+  let counter name =
+    Option.value ~default:0
+      (Metrics.find_counter (Metrics.snapshot (Router.metrics router)) name)
+  in
+  check "out-of-range: no bad frame, degradation or restart"
+    (counter "router.bad_frames" = 0
+    && counter "router.degraded" = 0
+    && counter "router.restarts" = 0);
+  check "out-of-range: shard 0 kept its worker"
+    (pid0 <> None && Router.pid router 0 = pid0);
+  let sup = Router.supervisor router in
+  check "out-of-range: every shard healthy"
+    (List.for_all
+       (fun s -> Supervisor.state sup s = Supervisor.Healthy)
+       [ 0; 1 ]);
+  Router.shutdown router;
+  Printf.printf "scenario 7 (out-of-range pair rejected up front): ok\n%!"
+
+let () =
   Sys.remove graph_file;
   Sys.remove labels_file;
-  Sys.remove snap_path;
   Printf.printf "shard-smoke: all scenarios passed (%d checks)\n%!" !passed
