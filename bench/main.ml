@@ -278,6 +278,11 @@ let serve_metrics ~mode (z : sizes) ~rounds =
         Repro_serve.Resilient_oracle.backend
           (Repro_serve.Resilient_oracle.create ~spot_check_every:8
              ~labels g) );
+      (* the CLI's default cadence: every answer spot-checked *)
+      ( "resilient-k1",
+        Repro_serve.Resilient_oracle.backend
+          (Repro_serve.Resilient_oracle.create ~spot_check_every:1
+             ~labels g) );
     ]
   in
   let instrumented =
@@ -285,14 +290,23 @@ let serve_metrics ~mode (z : sizes) ~rounds =
       (fun (prefix, b) -> (prefix, Obs.instrument ~prefix registry b))
       backends
   in
-  List.iter
-    (fun (_, b) ->
-      for _ = 1 to rounds do
-        Array.iter (fun (u, v) -> ignore (Backend.query b u v : int)) pairs
-      done)
-    instrumented;
+  (* GC words allocated per query by each instrumented backend; major
+     words include minor-heap survivors promoted during the run *)
+  let words =
+    List.map
+      (fun (_, b) ->
+        let before = Gc.quick_stat () in
+        for _ = 1 to rounds do
+          Array.iter (fun (u, v) -> ignore (Backend.query b u v : int)) pairs
+        done;
+        let after = Gc.quick_stat () in
+        let per w0 w1 = (w1 -. w0) /. float_of_int (rounds * z.pairs) in
+        ( per before.Gc.minor_words after.Gc.minor_words,
+          per before.Gc.major_words after.Gc.major_words ))
+      instrumented
+  in
   let snap = Metrics.snapshot registry in
-  let backend_json (prefix, b) =
+  let backend_json ((prefix, b), (minor_words, major_words)) =
     let h =
       match Metrics.find_histogram snap (prefix ^ ".latency_ns") with
       | Some h -> h
@@ -317,11 +331,14 @@ let serve_metrics ~mode (z : sizes) ~rounds =
       "queries": %d,
       "cache_hit": %d,
       "cache_miss": %d,
-      "latency_ns": { "count": %d, "sum": %d, "p50": %d, "p90": %d, "p99": %d, "max": %d }
+      "latency_ns": { "count": %d, "sum": %d, "p50": %d, "p90": %d, "p99": %d, "max": %d },
+      "minor_words_per_query": %.1f,
+      "major_words_per_query": %.1f
     }|}
       prefix (Backend.name b) (Backend.space_words b) (counter ".queries")
       (counter ".cache.hit") (counter ".cache.miss") h.Metrics.count
       h.Metrics.sum h.Metrics.p50 h.Metrics.p90 h.Metrics.p99 h.Metrics.max
+      minor_words major_words
   in
   let oc = open_out "BENCH_serve_metrics.json" in
   Printf.fprintf oc
@@ -343,19 +360,20 @@ let serve_metrics ~mode (z : sizes) ~rounds =
     (Repro_par.Pool.default_jobs ())
     (Repro_par.Pool.recommended ())
     z.sparse_n z.sparse_m (rounds * z.pairs)
-    (String.concat ",\n" (List.map backend_json instrumented));
+    (String.concat ",\n"
+       (List.map backend_json (List.combine instrumented words)));
   close_out oc;
-  List.iter
-    (fun (prefix, _) ->
+  List.iter2
+    (fun (prefix, _) (minor_words, major_words) ->
       match Metrics.find_histogram snap (prefix ^ ".latency_ns") with
       | Some h ->
           Printf.printf
-            "serve metrics (%s): %-9s p50 %d ns, p90 %d ns, p99 %d ns, max \
-             %d ns over %d queries\n%!"
+            "serve metrics (%s): %-12s p50 %d ns, p90 %d ns, p99 %d ns, max \
+             %d ns over %d queries, %.1f minor / %.1f major words/query\n%!"
             mode prefix h.Metrics.p50 h.Metrics.p90 h.Metrics.p99
-            h.Metrics.max h.Metrics.count
+            h.Metrics.max h.Metrics.count minor_words major_words
       | None -> ())
-    instrumented;
+    instrumented words;
   Printf.printf "-> BENCH_serve_metrics.json\n%!"
 
 (* ------------------------------------------------------------------ *)

@@ -60,6 +60,9 @@ type t = {
   primary : Backend.t option;
   primary_ops : Backend.ops option;
   emit : emitters option;
+  workspace : Budget_search.workspace Lazy.t;
+      (* made on the first fallback search, so an oracle that never
+         searches (spot checks off, honest primary) never pays for it *)
   step_budget : int;
   spot_check_every : int;
   quarantine_after : int;
@@ -96,6 +99,7 @@ let make ?(step_budget = max_int) ?(spot_check_every = 1)
     primary;
     primary_ops;
     emit = Option.map emitters_of metrics;
+    workspace = lazy (Budget_search.workspace graph);
     step_budget;
     spot_check_every;
     quarantine_after;
@@ -166,23 +170,29 @@ let strike t =
     note t (fun e -> e.e_quarantines)
   end
 
-(* The chain below the primary. Plain BFS is the unbudgeted final
-   authority: it always terminates with the exact answer. *)
+(* The chain below the primary, both stages on the oracle's one
+   workspace. Plain BFS is the unbudgeted final authority: it always
+   terminates with the exact answer. *)
 let compute_fallback t u v =
-  match Budget_search.bidirectional t.graph ~budget:t.step_budget u v with
+  let ws = Lazy.force t.workspace in
+  match Budget_search.search ws t.graph ~budget:t.step_budget u v with
   | Some d -> (d, Bidirectional)
   | None ->
       t.budget_exhausted <- t.budget_exhausted + 1;
       note t (fun e -> e.e_budget_exhausted);
-      ((Traversal.bfs t.graph u).(v), Bfs)
+      (Budget_search.bfs ws t.graph u v, Bfs)
 
-let serve_fallback t u v =
-  let d, src = compute_fallback t u v in
-  t.fallback_answers <- t.fallback_answers + 1;
-  note t (fun e -> e.e_fallback_answers);
-  (d, src)
+(* What the primary did with one point query; [P_none] when there is
+   no live primary to ask. *)
+type primary_outcome = P_ans of int | P_over | P_exn | P_none
 
-let query_detailed t u v =
+let ask_primary p u v =
+  match Backend.query p u v with
+  | d -> P_ans d
+  | exception Over_budget -> P_over
+  | exception _ -> P_exn
+
+let admit t u v =
   let n = Graph.n t.graph in
   if u < 0 || u >= n || v < 0 || v >= n then begin
     t.validation_failures <- t.validation_failures + 1;
@@ -190,61 +200,69 @@ let query_detailed t u v =
     invalid_arg "Resilient_oracle.query: vertex out of range"
   end;
   t.queries <- t.queries + 1;
-  note t (fun e -> e.e_queries);
-  match t.primary with
-  | Some p when not t.is_quarantined -> (
-      t.primary_attempts <- t.primary_attempts + 1;
-      match Backend.query p u v with
-      | exception Over_budget ->
+  note t (fun e -> e.e_queries)
+
+let spot_check_due t =
+  t.spot_check_every > 0 && t.primary_attempts mod t.spot_check_every = 0
+
+let served t d src =
+  (match src with
+  | Primary ->
+      t.primary_answers <- t.primary_answers + 1;
+      note t (fun e -> e.e_primary_answers)
+  | Bidirectional | Bfs ->
+      t.fallback_answers <- t.fallback_answers + 1;
+      note t (fun e -> e.e_fallback_answers));
+  (d, src)
+
+(* The one verdict on a point query: serve the primary's answer, or
+   re-derive the distance through the fallback chain (spot check,
+   over-budget skip, fault, no live primary) and serve the chain's
+   answer unless it confirms the primary's. *)
+let settle t u v outcome =
+  (match outcome with
+  | P_none -> ()
+  | P_ans _ | P_over | P_exn -> t.primary_attempts <- t.primary_attempts + 1);
+  match outcome with
+  | P_ans d when not (spot_check_due t) -> served t d Primary
+  | _ -> (
+      (match outcome with
+      | P_ans _ ->
+          t.spot_checks <- t.spot_checks + 1;
+          note t (fun e -> e.e_spot_checks)
+      | P_over ->
           t.budget_exhausted <- t.budget_exhausted + 1;
-          note t (fun e -> e.e_budget_exhausted);
-          serve_fallback t u v
-      | exception _ ->
+          note t (fun e -> e.e_budget_exhausted)
+      | P_exn ->
           t.faults <- t.faults + 1;
           note t (fun e -> e.e_faults);
+          strike t
+      | P_none -> ());
+      let truth, src = compute_fallback t u v in
+      match outcome with
+      | P_ans d when d = truth -> served t d Primary
+      | P_ans _ ->
+          t.disagreements <- t.disagreements + 1;
+          note t (fun e -> e.e_disagreements);
           strike t;
-          serve_fallback t u v
-      | d ->
-          let checked =
-            t.spot_check_every > 0
-            && t.primary_attempts mod t.spot_check_every = 0
-          in
-          if not checked then begin
-            t.primary_answers <- t.primary_answers + 1;
-            note t (fun e -> e.e_primary_answers);
-            (d, Primary)
-          end
-          else begin
-            t.spot_checks <- t.spot_checks + 1;
-            note t (fun e -> e.e_spot_checks);
-            let truth, src = compute_fallback t u v in
-            if truth = d then begin
-              t.primary_answers <- t.primary_answers + 1;
-              note t (fun e -> e.e_primary_answers);
-              (d, Primary)
-            end
-            else begin
-              t.disagreements <- t.disagreements + 1;
-              note t (fun e -> e.e_disagreements);
-              strike t;
-              t.fallback_answers <- t.fallback_answers + 1;
-              note t (fun e -> e.e_fallback_answers);
-              (truth, src)
-            end
-          end)
-  | _ -> serve_fallback t u v
+          served t truth src
+      | P_over | P_exn | P_none -> served t truth src)
+
+let live_primary t = if t.is_quarantined then None else t.primary
+
+let query_detailed t u v =
+  admit t u v;
+  settle t u v
+    (match live_primary t with Some p -> ask_primary p u v | None -> P_none)
 
 let query t u v = fst (query_detailed t u v)
 
 (* Batched queries. The primary's answers are pure given an honest
    backend, so they can be precomputed in parallel; every piece of
    accounting — counters, strikes, quarantine flips, fallback and
-   spot-check work — then replays sequentially in pair order, making
-   the stats trajectory indistinguishable from a [query_detailed]
-   loop. *)
-
-type primary_outcome = P_ans of int | P_over | P_exn
-
+   spot-check work — then replays sequentially in pair order through
+   [settle], making the stats trajectory indistinguishable from a
+   [query_detailed] loop. *)
 let query_many_detailed ?pool t pairs =
   match pool with
   | None -> Array.map (fun (u, v) -> query_detailed t u v) pairs
@@ -255,73 +273,25 @@ let query_many_detailed ?pool t pairs =
          batch iff it is live now; mid-batch strikes are honoured by
          the replay below *)
       let pre =
-        match t.primary with
-        | Some p when not t.is_quarantined ->
+        Option.map
+          (fun p ->
             let out = Array.make m P_exn in
             Repro_par.Pool.parallel_for pool ~n:m (fun ~slot:_ lo hi ->
                 for k = lo to hi - 1 do
                   let u, v = pairs.(k) in
                   if u >= 0 && u < n && v >= 0 && v < n then
-                    out.(k) <-
-                      (match Backend.query p u v with
-                      | d -> P_ans d
-                      | exception Over_budget -> P_over
-                      | exception _ -> P_exn)
+                    out.(k) <- ask_primary p u v
                 done);
-            Some out
-        | _ -> None
+            out)
+          (live_primary t)
       in
       Array.mapi
         (fun k (u, v) ->
-          if u < 0 || u >= n || v < 0 || v >= n then begin
-            t.validation_failures <- t.validation_failures + 1;
-            note t (fun e -> e.e_validation_failures);
-            invalid_arg "Resilient_oracle.query: vertex out of range"
-          end;
-          t.queries <- t.queries + 1;
-          note t (fun e -> e.e_queries);
-          match pre with
-          | Some out when not t.is_quarantined -> (
-              t.primary_attempts <- t.primary_attempts + 1;
-              match out.(k) with
-              | P_over ->
-                  t.budget_exhausted <- t.budget_exhausted + 1;
-                  note t (fun e -> e.e_budget_exhausted);
-                  serve_fallback t u v
-              | P_exn ->
-                  t.faults <- t.faults + 1;
-                  note t (fun e -> e.e_faults);
-                  strike t;
-                  serve_fallback t u v
-              | P_ans d ->
-                  let checked =
-                    t.spot_check_every > 0
-                    && t.primary_attempts mod t.spot_check_every = 0
-                  in
-                  if not checked then begin
-                    t.primary_answers <- t.primary_answers + 1;
-                    note t (fun e -> e.e_primary_answers);
-                    (d, Primary)
-                  end
-                  else begin
-                    t.spot_checks <- t.spot_checks + 1;
-                    note t (fun e -> e.e_spot_checks);
-                    let truth, src = compute_fallback t u v in
-                    if truth = d then begin
-                      t.primary_answers <- t.primary_answers + 1;
-                      note t (fun e -> e.e_primary_answers);
-                      (d, Primary)
-                    end
-                    else begin
-                      t.disagreements <- t.disagreements + 1;
-                      note t (fun e -> e.e_disagreements);
-                      strike t;
-                      t.fallback_answers <- t.fallback_answers + 1;
-                      note t (fun e -> e.e_fallback_answers);
-                      (truth, src)
-                    end
-                  end)
-          | _ -> serve_fallback t u v)
+          admit t u v;
+          settle t u v
+            (match pre with
+            | Some out when not t.is_quarantined -> out.(k)
+            | _ -> P_none))
         pairs
 
 let query_many ?pool t pairs =
@@ -373,11 +343,7 @@ let fallback_response t req =
         Ops.R_diam_rad { diameter = !dia; radius = !rad }
       end
 
-let serve_fallback_op t req =
-  let resp = fallback_response t req in
-  t.fallback_answers <- t.fallback_answers + 1;
-  note t (fun e -> e.e_fallback_answers);
-  (resp, Bfs)
+let serve_fallback_op t req = served t (fallback_response t req) Bfs
 
 let op t req =
   (match Ops.validate ~n:(Graph.n t.graph) req with
@@ -422,33 +388,17 @@ let op t req =
               note t (fun e -> e.e_faults);
               strike t;
               serve_fallback_op t req
+          | resp when not (spot_check_due t) -> served t resp Primary
           | resp ->
-              let checked =
-                t.spot_check_every > 0
-                && t.primary_attempts mod t.spot_check_every = 0
-              in
-              if not checked then begin
-                t.primary_answers <- t.primary_answers + 1;
-                note t (fun e -> e.e_primary_answers);
-                (resp, Primary)
-              end
+              t.spot_checks <- t.spot_checks + 1;
+              note t (fun e -> e.e_spot_checks);
+              let truth = fallback_response t req in
+              if Ops.equal_response truth resp then served t resp Primary
               else begin
-                t.spot_checks <- t.spot_checks + 1;
-                note t (fun e -> e.e_spot_checks);
-                let truth = fallback_response t req in
-                if Ops.equal_response truth resp then begin
-                  t.primary_answers <- t.primary_answers + 1;
-                  note t (fun e -> e.e_primary_answers);
-                  (resp, Primary)
-                end
-                else begin
-                  t.disagreements <- t.disagreements + 1;
-                  note t (fun e -> e.e_disagreements);
-                  strike t;
-                  t.fallback_answers <- t.fallback_answers + 1;
-                  note t (fun e -> e.e_fallback_answers);
-                  (truth, Bfs)
-                end
+                t.disagreements <- t.disagreements + 1;
+                note t (fun e -> e.e_disagreements);
+                strike t;
+                served t truth Bfs
               end)
       | _ -> serve_fallback_op t req)
 

@@ -10,9 +10,10 @@
       re-derived through the fallback chain, and the chain's answer is
       the one served on disagreement;
     - {b graceful degradation}: primary → budgeted bidirectional BFS →
-      plain BFS. Plain BFS on the stored graph is the unbudgeted final
-      authority, so every query terminates with the exact distance as
-      long as the graph itself is sound;
+      plain BFS, both searches from {!Budget_search}. Plain BFS on the
+      stored graph is the unbudgeted final authority, so every query
+      terminates with the exact distance as long as the graph itself
+      is sound;
     - {b quarantine}: after a configurable number of strikes
       (disagreements or raised exceptions) the primary is taken out of
       rotation for good;
@@ -52,6 +53,12 @@ exception Over_budget
     effect. *)
 
 type t
+(** A resilient oracle. It owns one {!Budget_search.workspace}, made on
+    its first fallback search (a spot check, a skip or a fault) and
+    reused by every later one, so spot checks allocate no O(n) memory.
+    That workspace makes a [t] single-domain: never query one [t] from
+    two domains at once ({!query_many} with a pool is safe — only its
+    primary calls run in parallel). *)
 
 val create :
   ?step_budget:int ->
@@ -116,8 +123,8 @@ val query_many : ?pool:Repro_par.Pool.t -> t -> (int * int) array -> int array
     [query] loop. With [pool] the primary's answers are precomputed in
     parallel across domains and all accounting (counters, strikes,
     quarantine, spot checks, fallback searches) replays sequentially in
-    pair order, so answers and {!stats} match the sequential loop for
-    any job count.
+    pair order on the calling domain, so answers and {!stats} match the
+    sequential loop for any job count.
 
     Pass [pool] only when the primary backend is domain-safe: pure
     functions of [(u, v)], e.g. {!store_primary} over a {e cache-free}

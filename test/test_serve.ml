@@ -46,6 +46,81 @@ let test_budget_search_exhaustion () =
   | Some d -> Test_util.check_int "cheap pair within budget" 1 d
   | None -> Alcotest.fail "adjacent pair fits in budget"
 
+(* The list-based search the workspace version replaced, kept verbatim
+   as the reference except that it also returns how many vertices it
+   expanded (the budget unit). *)
+let reference_bidirectional g ~budget s t =
+  let n = Graph.n g in
+  if s < 0 || s >= n || t < 0 || t >= n then
+    invalid_arg "Budget_search.bidirectional";
+  if s = t then (Some 0, 0)
+  else begin
+    let dist_f = Array.make n (-1) and dist_b = Array.make n (-1) in
+    dist_f.(s) <- 0;
+    dist_b.(t) <- 0;
+    let frontier_f = ref [ s ] and frontier_b = ref [ t ] in
+    let df = ref 0 and db = ref 0 in
+    let steps = ref 0 in
+    let best = ref Dist.inf in
+    let expand frontier dist other depth =
+      let next = ref [] in
+      List.iter
+        (fun u ->
+          incr steps;
+          if !steps > budget then raise Exit;
+          Graph.iter_neighbors g u (fun v ->
+              if dist.(v) < 0 then begin
+                dist.(v) <- !depth + 1;
+                if other.(v) >= 0 then
+                  best := min !best (dist.(v) + other.(v));
+                next := v :: !next
+              end))
+        !frontier;
+      frontier := !next;
+      incr depth
+    in
+    match
+      while !frontier_f <> [] && !frontier_b <> [] && !df + !db < !best do
+        if List.length !frontier_f <= List.length !frontier_b then
+          expand frontier_f dist_f dist_b df
+        else expand frontier_b dist_b dist_f db
+      done
+    with
+    | () -> (Some (if Dist.is_finite !best then !best else Dist.inf), !steps)
+    | exception Exit -> (None, !steps)
+  end
+
+(* One workspace serves a long mixed sequence — self pairs,
+   disconnected pairs, searches aborted mid-level, full searches and
+   single-source BFS runs — and every answer matches the reference at
+   every budget up to one past what the full search expands, so no
+   search sees marks left by an earlier one. *)
+let test_workspace_matches_reference =
+  Test_util.qcheck ~count:150
+    "reused workspace matches the list-based search"
+    Gen.small_graph_gen (fun params ->
+      let g = Gen.build_graph params in
+      let n = Graph.n g in
+      let ws = Budget_search.workspace g in
+      let r = Random.State.make [| n |] in
+      let show = function Some d -> string_of_int d | None -> "None" in
+      for k = 0 to 24 do
+        let s = Random.State.int r n in
+        let t = if k mod 5 = 0 then s else Random.State.int r n in
+        let _, expansions = reference_bidirectional g ~budget:max_int s t in
+        for budget = 0 to expansions + 1 do
+          let want, _ = reference_bidirectional g ~budget s t in
+          let got = Budget_search.search ws g ~budget s t in
+          if got <> want then
+            QCheck2.Test.fail_reportf "%d->%d budget %d: got %s, want %s" s t
+              budget (show got) (show want)
+        done;
+        let bfs = Budget_search.bfs ws g s t in
+        if bfs <> (Traversal.bfs g s).(t) then
+          QCheck2.Test.fail_reportf "bfs %d->%d: got %d" s t bfs
+      done;
+      true)
+
 (* ----- Fault_injector ------------------------------------------------ *)
 
 let test_injector_deterministic () =
@@ -178,6 +253,69 @@ let test_resilient_budget_degrades_to_bfs () =
     (s.Resilient_oracle.budget_exhausted > 0);
   Test_util.check_int "served by fallback" 1 s.Resilient_oracle.fallback_answers
 
+(* Both fallback stages on the oracle's workspace: a budget of 8 on the
+   200-vertex path sends every far pair to the single-source stage.
+   The counts are the ones the fresh-array search produced. *)
+let test_resilient_step_budget_stats () =
+  let g = Generators.path 200 in
+  let truth = truth_table g in
+  let run oracle =
+    let sources = Array.make 3 0 in
+    List.iter
+      (fun (u, v) ->
+        let d, src = Resilient_oracle.query_detailed oracle u v in
+        Test_util.check_int "exact" truth.(u).(v) d;
+        let i =
+          Resilient_oracle.(
+            match src with Primary -> 0 | Bidirectional -> 1 | Bfs -> 2)
+        in
+        sources.(i) <- sources.(i) + 1)
+      (random_pairs (rng ()) (Graph.n g) 300);
+    (Resilient_oracle.stats oracle, Array.to_list sources)
+  in
+  let check name (s, sources) ~budget_exhausted =
+    Test_util.check_int (name ^ " queries") 300 s.Resilient_oracle.queries;
+    Test_util.check_int (name ^ " primary") 0 s.Resilient_oracle.primary_answers;
+    Test_util.check_int (name ^ " fallback") 300 s.Resilient_oracle.fallback_answers;
+    Test_util.check_int (name ^ " budget_exhausted") budget_exhausted
+      s.Resilient_oracle.budget_exhausted;
+    Test_util.check_int (name ^ " spot checks") 0 s.Resilient_oracle.spot_checks;
+    Alcotest.(check (list int)) (name ^ " sources") [ 0; 24; 276 ] sources
+  in
+  check "search-only"
+    (run (Resilient_oracle.create ~step_budget:8 g))
+    ~budget_exhausted:276;
+  (* the label scan also exceeds 8 on every pair: one more skip each *)
+  check "labelled"
+    (run (Resilient_oracle.create ~step_budget:8 ~labels:(Pll.build g) g))
+    ~budget_exhausted:576
+
+(* Spot-checking every answer allocates nothing on the major heap once
+   the oracle's workspace exists (the fresh-array search allocated two
+   n-word arrays per check: ~4000 words at n = 2000). *)
+let test_spot_check_allocation_pin () =
+  let g = Generators.random_connected (rng ()) ~n:2000 ~m:4000 in
+  let oracle =
+    Resilient_oracle.create ~spot_check_every:1 ~labels:(Pll.build g) g
+  in
+  let r = rng () in
+  let run k =
+    for _ = 1 to k do
+      let u = Random.State.int r 2000 and v = Random.State.int r 2000 in
+      ignore (Resilient_oracle.query oracle u v : int)
+    done
+  in
+  run 5000;
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  run 5000;
+  let per_query = ((Gc.quick_stat ()).Gc.major_words -. before) /. 5000. in
+  Test_util.check_bool
+    (Printf.sprintf "%.1f major words/query < 8" per_query)
+    true (per_query < 8.);
+  let s = Resilient_oracle.stats oracle in
+  Test_util.check_int "every answer checked" 10_000 s.Resilient_oracle.spot_checks;
+  Test_util.check_int "no disagreements" 0 s.Resilient_oracle.disagreements
+
 let test_resilient_label_budget () =
   let g = sample_graph () in
   let labels = Pll.build g in
@@ -250,6 +388,7 @@ let suite =
       test_budget_search_disconnected;
     Alcotest.test_case "budget exhaustion returns None" `Quick
       test_budget_search_exhaustion;
+    test_workspace_matches_reference;
     Alcotest.test_case "fault injector is deterministic" `Quick
       test_injector_deterministic;
     Alcotest.test_case "fault injector fraction endpoints" `Quick
@@ -266,6 +405,10 @@ let suite =
       test_resilient_failing_backend;
     Alcotest.test_case "step budget degrades to BFS" `Quick
       test_resilient_budget_degrades_to_bfs;
+    Alcotest.test_case "step budget 8 on a path: stats pinned" `Quick
+      test_resilient_step_budget_stats;
+    Alcotest.test_case "spot checks allocate no major words" `Quick
+      test_spot_check_allocation_pin;
     Alcotest.test_case "label-scan budget skips primary" `Quick
       test_resilient_label_budget;
     Alcotest.test_case "query validation is logged" `Quick
