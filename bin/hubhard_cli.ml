@@ -237,14 +237,14 @@ let label_cmd =
             write path (Hub_io.to_string labels);
             write (path ^ ".graph") (Graph_io.to_string g);
             Printf.printf "wrote %s and %s.graph\n" path path);
+        let flat = lazy (Flat_hub.of_labels labels) in
         if stats then
           print_endline
-            (Hub_stats.packed_report
-               (Hub_stats.packed_sizes (Flat_hub.of_labels labels)));
+            (Hub_stats.packed_report (Hub_stats.packed_sizes (Lazy.force flat)));
         (match pack with
         | None -> ()
         | Some path ->
-            let flat = Flat_hub.of_labels labels in
+            let flat = Lazy.force flat in
             let packed =
               if compress then Hub_io.compact_to_bytes flat
               else Hub_io.flat_to_bytes flat

@@ -34,7 +34,7 @@ module A1 = Bigarray.Array1
 
 type buf = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) A1.t
 
-type error =
+type error = Packed_file.error =
   | Io of string
   | Not_regular of string
   | Too_short of { bytes : int }
@@ -45,29 +45,9 @@ type error =
   | Bad_offsets of { vertex : int; msg : string }
   | Bad_entry of { vertex : int; entry : int; msg : string }
 
-let error_to_string = function
-  | Io msg -> "Compact_hub: " ^ msg
-  | Not_regular path -> "Compact_hub: not a regular file: " ^ path
-  | Too_short { bytes } ->
-      Printf.sprintf "Compact_hub: %d bytes is too short for magic + header"
-        bytes
-  | Misaligned { bytes } ->
-      Printf.sprintf "Compact_hub: %d bytes is not a whole number of words"
-        bytes
-  | Bad_magic -> "Compact_hub: bad magic"
-  | Bad_header { word; msg } ->
-      Printf.sprintf "Compact_hub: header word at byte %d: %s" word msg
-  | Length_mismatch { expected_words; actual_words } ->
-      Printf.sprintf
-        "Compact_hub: length disagrees with header (expected %d words, file \
-         has %d)"
-        expected_words actual_words
-  | Bad_offsets { vertex; msg } ->
-      Printf.sprintf "Compact_hub: offset of vertex %d: %s" vertex msg
-  | Bad_entry { vertex; entry; msg } ->
-      Printf.sprintf "Compact_hub: entry %d of vertex %d: %s" entry vertex msg
+let error_to_string = Packed_file.error_to_string ~prefix:"Compact_hub"
 
-exception Bad of error
+exception Bad = Packed_file.Bad
 
 type raw = {
   n : int;
@@ -124,24 +104,20 @@ let to_bytes ?(block = default_block) flat =
   let n = Flat_hub.n flat in
   if n >= max_n then
     invalid_arg "Compact_hub.to_bytes: n exceeds the 2^31 vertex bound";
-  let offsets, data = Flat_hub.raw flat in
   let total = Flat_hub.total_size flat in
   let blob = Buffer.create ((4 * total) + 64) in
+  let ent_off = Array.make (n + 1) 0 in
   let byte_off = Array.make (n + 1) 0 in
   let body = Buffer.create 512 in
   let head = Buffer.create 10 in
   for v = 0 to n - 1 do
     byte_off.(v) <- Buffer.length blob;
-    let lo = offsets.(v) and hi = offsets.(v + 1) in
-    let k = hi - lo in
+    let hs = Flat_hub.hubs flat v in
+    let k = Array.length hs in
+    ent_off.(v + 1) <- ent_off.(v) + k;
     if k > 0 then begin
       let nb = ((k - 1) / block) + 1 in
-      let base = ref max_int in
-      for e = lo to hi - 1 do
-        let d = data.((2 * e) + 1) in
-        if d < !base then base := d
-      done;
-      let base = !base in
+      let base = Array.fold_left (fun b (_, d) -> min b d) max_int hs in
       Buffer.clear body;
       Buffer.clear head;
       emit_varint head base;
@@ -150,11 +126,10 @@ let to_bytes ?(block = default_block) flat =
         starts.(b) <- Buffer.length body;
         let j_hi = min k ((b + 1) * block) in
         for j = b * block to j_hi - 1 do
-          let e = lo + j in
-          let h = data.(2 * e) in
+          let h, d = hs.(j) in
           if j = b * block then emit_varint body h
-          else emit_varint body (h - data.(2 * (e - 1)) - 1);
-          emit_varint body (zigzag (data.((2 * e) + 1) - base))
+          else emit_varint body (h - fst hs.(j - 1) - 1);
+          emit_varint body (zigzag (d - base))
         done
       done;
       let data_base = (8 * nb) + Buffer.length head in
@@ -162,7 +137,7 @@ let to_bytes ?(block = default_block) flat =
         invalid_arg
           "Compact_hub.to_bytes: vertex region exceeds the uint32 skip range";
       for b = 0 to nb - 1 do
-        emit_u32 blob data.(2 * (lo + (b * block)));
+        emit_u32 blob (fst hs.(b * block));
         emit_u32 blob (data_base + starts.(b))
       done;
       Buffer.add_buffer blob head;
@@ -183,7 +158,7 @@ let to_bytes ?(block = default_block) flat =
   put total;
   put block;
   put blob_len;
-  Array.iter put offsets;
+  Array.iter put ent_off;
   Array.iter put byte_off;
   Buffer.blit blob 0 out (8 * header_words n) blob_len;
   Repro_obs.Span.count "bytes" (Bytes.length out);
@@ -205,18 +180,6 @@ let word64 (buf : buf) i =
   done;
   !r
 
-let fits_int x = Int64.of_int (Int64.to_int x) = x
-
-let header_field buf ~index =
-  let x = word64 buf index in
-  let byte = 8 * index in
-  if not (fits_int x) then
-    Error (Bad_header { word = byte; msg = "overflows native int" })
-  else
-    let v = Int64.to_int x in
-    if v < 0 then Error (Bad_header { word = byte; msg = "negative" })
-    else Ok v
-
 let decode_offsets buf ~first_word ~count ~limit ~what =
   (* [count] words, monotone from 0 to [limit], returned as a heap
      array (the price is O(n) heap, already the load's complexity). *)
@@ -224,7 +187,7 @@ let decode_offsets buf ~first_word ~count ~limit ~what =
   try
     for i = 0 to count - 1 do
       let x = word64 buf (first_word + i) in
-      if not (fits_int x) || Int64.to_int x < 0 then
+      if not (Packed_file.fits_int x) || Int64.to_int x < 0 then
         raise
           (Bad (Bad_offsets { vertex = i; msg = what ^ " overflows native int" }));
       let v = Int64.to_int x in
@@ -249,33 +212,24 @@ let decode_offsets buf ~first_word ~count ~limit ~what =
 
 let validate ~path ~bytes (buf : buf) =
   let ( let* ) = Result.bind in
-  if bytes < min_bytes then Error (Too_short { bytes })
-  else if bytes mod 8 <> 0 then Error (Misaligned { bytes })
-  else if
-    (try
-       let ok = ref true in
-       for i = 0 to 7 do
-         if A1.get buf i <> magic.[i] then ok := false
-       done;
-       not !ok
-     with _ -> true)
-  then Error Bad_magic
+  let* () = Packed_file.check_size ~min_bytes bytes in
+  if String.init 8 (A1.get buf) <> magic then Error Bad_magic
   else
-    let* n = header_field buf ~index:1 in
+    let* n = Packed_file.header_int (word64 buf 1) ~index:1 in
     let* () =
       if n >= max_n then
         Error
           (Bad_header { word = 8; msg = "exceeds the 2^31 vertex bound" })
       else Ok ()
     in
-    let* total = header_field buf ~index:2 in
-    let* block = header_field buf ~index:3 in
+    let* total = Packed_file.header_int (word64 buf 2) ~index:2 in
+    let* block = Packed_file.header_int (word64 buf 3) ~index:3 in
     let* () =
       if block < 1 then
         Error (Bad_header { word = 24; msg = "block size must be >= 1" })
       else Ok ()
     in
-    let* blob_len = header_field buf ~index:4 in
+    let* blob_len = Packed_file.header_int (word64 buf 4) ~index:4 in
     let actual_words = bytes / 8 in
     (* saturate so the expected size cannot overflow: any n/blob_len
        beyond the file size already disagrees with the length *)
@@ -486,7 +440,8 @@ let raw_query (t : raw) u v =
 (* ---------------------------------------------------------------- *)
 (* Deep validation: a strict decode of every region — minimal varints
    only, skip table checked against the actual layout, the full
-   per-entry contract of Flat_hub.of_raw, and exact consumption. *)
+   per-entry contract of Flat_image.validate_entries, and exact
+   consumption. *)
 
 let strict_varint buf ~re ~vertex ~entry pos =
   let fail msg = raise (Bad (Bad_entry { vertex; entry; msg })) in
@@ -613,40 +568,14 @@ let of_bytes_res ?(cache_slots = 0) ?(deep = false) s =
         ~deep
       |> Result.map wrap)
 
-(* open → fstat → map → close, every failure mode funnelled into a
-   typed error; the fd is closed on all paths (the mapping survives). *)
-let open_and_map path =
-  match Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
-  | exception Unix.Unix_error (err, _, _) ->
-      Error (Io (path ^ ": " ^ Unix.error_message err))
-  | fd ->
-      let close () = try Unix.close fd with Unix.Unix_error _ -> () in
-      let finish r = close (); r in
-      (match Unix.fstat fd with
-      | exception Unix.Unix_error (err, _, _) ->
-          finish (Error (Io (path ^ ": fstat: " ^ Unix.error_message err)))
-      | st ->
-          if st.Unix.st_kind <> Unix.S_REG then finish (Error (Not_regular path))
-          else
-            let bytes = st.Unix.st_size in
-            if bytes < min_bytes then finish (Error (Too_short { bytes }))
-            else
-              match
-                Bigarray.array1_of_genarray
-                  (Unix.map_file fd Bigarray.char Bigarray.c_layout false
-                     [| bytes |])
-              with
-              | buf -> finish (Ok (buf, bytes))
-              | exception Unix.Unix_error (err, _, _) ->
-                  finish (Error (Io (path ^ ": map: " ^ Unix.error_message err)))
-              | exception Sys_error msg -> finish (Error (Io msg)))
-
 let load_res ?(cache_slots = 0) ?(deep = false) path =
   let wrap = wrap ~cache_slots in
   Repro_obs.Span.run ~name:"compact-hub.load" (fun () ->
       let ( let* ) = Result.bind in
       finish_load ~what:"compact_hub" ~path
-        (let* buf, bytes = open_and_map path in
+        (let* buf, bytes =
+           Packed_file.open_and_map Bigarray.char ~min_bytes path
+         in
          Repro_obs.Span.count "bytes" bytes;
          validate ~path ~bytes buf)
         ~deep
@@ -667,14 +596,7 @@ let bits_per_entry t =
   else 8. *. float_of_int t.bytes /. float_of_int t.total
 
 let to_flat t =
-  let offsets = Array.copy (base t).ent_off in
-  let data = Array.make (2 * total_size t) 0 in
-  for v = 0 to n t - 1 do
-    let lo = offsets.(v) in
-    Array.iteri
-      (fun i (h, d) ->
-        data.(2 * (lo + i)) <- h;
-        data.((2 * (lo + i)) + 1) <- d)
-      (hubs t v)
-  done;
-  Flat_hub.of_raw ~n:(n t) ~offsets ~data
+  let image = Flat_image.build ~n:(n t) ~size:(size t) ~hubs:(hubs t) in
+  match Flat_image.validate_entries image with
+  | Ok () -> Flat_hub.of_image image
+  | Error e -> invalid_arg (error_to_string e)

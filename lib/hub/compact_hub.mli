@@ -31,7 +31,7 @@
     decodes every entry with strict varints (minimal encodings only,
     [<= 9] bytes), checks the skip table against the actual block
     layout, and restores the exact per-entry guarantees of
-    {!Flat_hub.of_raw}.
+    {!Flat_image.validate_entries}.
 
     The encoder is canonical: [to_bytes] of a given store is a single
     deterministic byte string, so save → load → save round-trips
@@ -41,25 +41,21 @@
 
 type t
 
-type error =
-  | Io of string  (** open/stat/map failed (missing file, EACCES, ...) *)
-  | Not_regular of string  (** not a regular file (directory, device, socket) *)
-  | Too_short of { bytes : int }  (** smaller than magic + header *)
-  | Misaligned of { bytes : int }  (** size not a whole number of 8-byte words *)
-  | Bad_magic  (** first 8 bytes are not ["HUBFLAT2"] *)
+type error = Packed_file.error =
+  | Io of string
+  | Not_regular of string
+  | Too_short of { bytes : int }
+  | Misaligned of { bytes : int }
+  | Bad_magic
   | Bad_header of { word : int; msg : string }
-      (** [n]/[total]/[block]/[blob_len] negative, overflowing a native
-          int, [block < 1] or [n >= 2^31]; [word] is the byte offset of
-          the offending word *)
   | Length_mismatch of { expected_words : int; actual_words : int }
-      (** file length disagrees with the header *)
   | Bad_offsets of { vertex : int; msg : string }
-      (** an offset table not monotone, or a vertex region too small
-          for its skip table *)
   | Bad_entry of { vertex : int; entry : int; msg : string }
-      (** deep scan only: hostile varint (truncated, overlong, or
-          overflowing a native int), hub out of range / unsorted,
-          negative distance, skip-table mismatch, or trailing bytes *)
+(** {!Packed_file.error}, re-exported. Here [Bad_header] also covers
+    [block < 1] and [n >= 2^31]; [Bad_offsets] a vertex region too
+    small for its skip table; and [Bad_entry] (deep scan only) a
+    hostile varint (truncated, overlong, overflowing), a skip-table
+    mismatch or trailing bytes in a region. *)
 
 val error_to_string : error -> string
 
@@ -126,8 +122,9 @@ val bits_per_entry : t -> float
     This is the paper's label-size axis as actually paid on disk. *)
 
 val to_flat : t -> Flat_hub.t
-(** Materialise into a heap {!Flat_hub.t} (re-validating every entry
-    via {!Flat_hub.of_raw}).
+(** Materialise into a heap {!Flat_hub.t} (writing a {!Flat_image}
+    and re-validating every entry with
+    {!Flat_image.validate_entries}).
     @raise Invalid_argument if the decoded entries are malformed — a
     shallow-loaded store can hold a garbage blob. *)
 

@@ -1,108 +1,23 @@
-open Repro_graph
-
-module Raw = struct
-  type t = {
-    n : int;
-    offsets : int array; (* length n + 1 *)
-    data : int array;
-        (* length 2 * offsets.(n); entry i = (data.(2i), data.(2i+1)) *)
-  }
-
+include Hub_store.Make (Flat_image.Store (struct
   let name = "Flat_hub"
   let backend_name = "flat-hub-labeling"
-  let n t = t.n
-  let size t v = t.offsets.(v + 1) - t.offsets.(v)
-
-  let hubs t v =
-    Array.init (size t v) (fun k ->
-        let e = t.offsets.(v) + k in
-        (t.data.(2 * e), t.data.((2 * e) + 1)))
-
-  (* The hot path. Walk the two interleaved runs with raw indices into
-     [data]; bounds are established by the CSR invariants, so unsafe
-     accesses are sound. *)
-  let raw_query t u v =
-    let data = t.data in
-    let i = ref (2 * Array.unsafe_get t.offsets u)
-    and iend = 2 * Array.unsafe_get t.offsets (u + 1)
-    and j = ref (2 * Array.unsafe_get t.offsets v)
-    and jend = 2 * Array.unsafe_get t.offsets (v + 1) in
-    let best = ref Dist.inf in
-    while !i < iend && !j < jend do
-      let ha = Array.unsafe_get data !i and hb = Array.unsafe_get data !j in
-      if ha = hb then begin
-        let d =
-          Dist.add (Array.unsafe_get data (!i + 1))
-            (Array.unsafe_get data (!j + 1))
-        in
-        if d < !best then best := d;
-        i := !i + 2;
-        j := !j + 2
-      end
-      else if ha < hb then i := !i + 2
-      else j := !j + 2
-    done;
-    !best
-
-  let space_words t = Array.length t.offsets + Array.length t.data
-
-  let pp_detail t =
-    Printf.sprintf "n=%d, total=%d" t.n (Array.length t.data / 2)
-end
-
-include Hub_store.Make (Raw)
+end))
 
 let of_labels ?(cache_slots = 0) labels =
   let wrap = wrap ~cache_slots in
   Repro_obs.Span.run ~name:"flat-hub.pack" (fun () ->
       let n = Hub_label.n labels in
-      let offsets = Array.make (n + 1) 0 in
-      for v = 0 to n - 1 do
-        offsets.(v + 1) <- offsets.(v) + Hub_label.size labels v
-      done;
-      let data = Array.make (2 * offsets.(n)) 0 in
-      for v = 0 to n - 1 do
-        let base = ref (2 * offsets.(v)) in
-        Array.iter
-          (fun (h, d) ->
-            data.(!base) <- h;
-            data.(!base + 1) <- d;
-            base := !base + 2)
-          (Hub_label.hubs labels v)
-      done;
+      let image =
+        Flat_image.build ~n ~size:(Hub_label.size labels)
+          ~hubs:(Hub_label.hubs labels)
+      in
       Repro_obs.Span.count "vertices" n;
-      Repro_obs.Span.count "entries" offsets.(n);
-      wrap { Raw.n; offsets; data })
+      Repro_obs.Span.count "entries" (Flat_image.total image);
+      wrap image)
 
-let of_raw ~n ~offsets ~data =
-  let fail msg = invalid_arg ("Flat_hub.of_raw: " ^ msg) in
-  if n < 0 then fail "negative n";
-  if Array.length offsets <> n + 1 then fail "offsets length must be n + 1";
-  if Array.length data mod 2 <> 0 then fail "data length must be even";
-  if offsets.(0) <> 0 then fail "offsets must start at 0";
-  for v = 0 to n - 1 do
-    if offsets.(v + 1) < offsets.(v) then fail "offsets must be non-decreasing"
-  done;
-  if 2 * offsets.(n) <> Array.length data then
-    fail "offsets must end at the entry count";
-  for v = 0 to n - 1 do
-    for e = offsets.(v) to offsets.(v + 1) - 1 do
-      let h = data.(2 * e) and d = data.((2 * e) + 1) in
-      if h < 0 || h >= n then fail "hub out of range";
-      if d < 0 then fail "negative distance";
-      if e > offsets.(v) && data.(2 * (e - 1)) >= h then
-        fail "hubs must be strictly increasing within a vertex"
-    done
-  done;
-  wrap ~cache_slots:0 { Raw.n; offsets; data }
-
-let raw t =
-  let r = base t in
-  (r.Raw.offsets, r.Raw.data)
-
-let total_size t = (base t).Raw.offsets.(n t)
+let of_image image = wrap ~cache_slots:0 (Flat_image.with_path image "")
+let image = base
+let bytes t = Flat_image.bytes (base t)
+let total_size t = Flat_image.total (base t)
 let to_labels t = Hub_label.of_arrays ~n:(n t) (Array.init (n t) (hubs t))
-
-let equal a b =
-  let a = base a and b = base b in
-  a.Raw.n = b.Raw.n && a.Raw.offsets = b.Raw.offsets && a.Raw.data = b.Raw.data
+let equal a b = Flat_image.equal (base a) (base b)

@@ -1,26 +1,15 @@
-(** Packed flat-array hub-label store — the serving-grade layout.
+(** Packed hub-label store on the heap — the serving-grade layout.
 
     {!Hub_label.t} keeps one [(hub, dist)] tuple array per vertex; every
     access chases a pointer per pair. This module freezes a labeling
-    into two flat int arrays in CSR style, the layout production hub
-    labelings use (cf. the sorted contiguous label arrays of [AIY13] and
-    the space-conscious encodings of Gawrychowski–Kosowski–Uznański,
-    arXiv:1507.06240):
-
-    - [offsets]: [n + 1] ints; the hubset of vertex [v] occupies entry
-      indices [offsets.(v) .. offsets.(v+1) - 1];
-    - [data]: [2 * total] ints, entry [i] stored interleaved as
-      [data.(2i) = hub] and [data.(2i+1) = dist], entries of each
-      vertex sorted by strictly increasing hub id.
-
-    The graphs of this reproduction are undirected, so one direction
-    serves both sides of a query (a directed variant would carry one
-    such array pair per direction). Queries are the same two-pointer
-    sorted merge intersection as {!Hub_label.query}, but over
-    contiguous unboxed ints.
+    into one {!Flat_image}: the [HUBFLAT1] word image, the same words a
+    packed label file holds and {!Mmap_hub} maps. Queries are the same
+    two-pointer sorted merge intersection as {!Hub_label.query}, over
+    contiguous unboxed words, and are the very merge {!Mmap_hub} runs.
 
     The cache, batching, backend and ops surface come from
-    {!Hub_store.Make}; this module holds only the CSR format. *)
+    {!Hub_store.Make}; the format, its validator and its merge are
+    {!Flat_image}'s. *)
 
 type t
 
@@ -29,24 +18,22 @@ val of_labels : ?cache_slots:int -> Hub_label.t -> t
     direct-mapped distance cache with that many slots.
     @raise Invalid_argument if [cache_slots < 0]. *)
 
-val of_raw : n:int -> offsets:int array -> data:int array -> t
-(** Rebuild from raw CSR arrays (the deserialisation entry point),
-    without a cache — see {!with_cache}.
-    Validates every structural invariant: [offsets] has length [n+1],
-    starts at 0, is non-decreasing and ends at [length data / 2];
-    [data] has even length; hub ids are strictly increasing within a
-    vertex and lie in [0, n); distances are non-negative. The arrays
-    are owned by the result afterwards — do not mutate them.
-    @raise Invalid_argument on any violation. *)
+val of_image : Flat_image.t -> t
+(** Serve an image, without a cache — see {!with_cache}. The image
+    must be validated deep ({!Flat_image.of_string} does;
+    {!Flat_image.build} trusts its input). *)
 
 val with_cache : cache_slots:int -> t -> t
 (** The same store with a fresh direct-mapped cache of [cache_slots]
-    slots ([0] removes the cache). The packed arrays are shared, not
-    copied.
+    slots ([0] removes the cache). The image is shared, not copied.
     @raise Invalid_argument if [cache_slots < 0]. *)
 
-val raw : t -> int array * int array
-(** [(offsets, data)] backing arrays (not copies — do not mutate). *)
+val image : t -> Flat_image.t
+(** The image the store serves (shared, not copied). *)
+
+val bytes : t -> int
+(** Size in bytes of the image, which is the size of its packed
+    file. *)
 
 val to_labels : t -> Hub_label.t
 (** Thaw back into the per-vertex representation (for verification and
@@ -60,11 +47,11 @@ val total_size : t -> int
 
 val hubs : t -> int -> (int * int) array
 (** The hubset of a vertex as fresh [(hub, dist)] pairs, sorted by hub
-    id (materialised from the flat arrays; intended for tests and
-    debugging, not the hot path). *)
+    id (materialised from the image; intended for tests and debugging,
+    not the hot path). *)
 
 val query : t -> int -> int -> int
-(** Two-pointer merge intersection over the packed arrays
+(** Two-pointer merge intersection over the image
     ({!Hub_store.S.query}).
     @raise Invalid_argument on out-of-range endpoints. *)
 
@@ -77,12 +64,12 @@ val cache_stats : t -> (int * int) option
 (** [Some (hits, misses)] for a cached store, [None] otherwise. *)
 
 val equal : t -> t -> bool
-(** Structural equality of the packed arrays (ignores the cache). *)
+(** Equality of the images (ignores the cache). *)
 
 val pp : Format.formatter -> t -> unit
 
 val space_words : t -> int
-(** Machine words of the packed arrays: [(n + 1) + 2 * total]. *)
+(** Words of the label structure: [(n + 1) + 2 * total]. *)
 
 val backend : t -> Repro_obs.Backend.t
 (** {!Hub_store.S.backend}, named ["flat-hub-labeling"]. *)

@@ -93,20 +93,9 @@ let of_string_res s =
     Error e)
 
 (* ---------------------------------------------------------------- *)
-(* Binary serialisation of the packed flat form.
+(* The packed flat form: the bytes of a Flat_image. *)
 
-   Layout (all words little-endian int64):
-     bytes 0..7    magic "HUBFLAT1"
-     word  0       n
-     word  1       total entry count
-     words 2..     n+1 offsets, then 2*total interleaved (hub, dist)
-
-   The encoding of a given store is canonical, so save -> load -> save
-   is byte-for-byte stable (the flat arrays themselves are canonical:
-   offsets are determined by the hubset sizes and entries are sorted by
-   hub id). *)
-
-let packed_magic = "HUBFLAT1"
+let packed_magic = Flat_image.magic
 
 let is_packed s =
   String.length s >= String.length packed_magic
@@ -114,59 +103,26 @@ let is_packed s =
 
 let flat_to_bytes flat =
   Repro_obs.Span.run ~name:"hub-io.save-packed" (fun () ->
-  let offsets, data = Flat_hub.raw flat in
-  let n = Flat_hub.n flat in
-  let words = 2 + (n + 1) + Array.length data in
-  let b = Bytes.create (String.length packed_magic + (8 * words)) in
-  Bytes.blit_string packed_magic 0 b 0 (String.length packed_magic);
-  let pos = ref (String.length packed_magic) in
-  let put x =
-    Bytes.set_int64_le b !pos (Int64.of_int x);
-    pos := !pos + 8
-  in
-  put n;
-  put (Flat_hub.total_size flat);
-  Array.iter put offsets;
-  Array.iter put data;
-  Repro_obs.Span.count "bytes" (Bytes.length b);
-  Bytes.unsafe_to_string b)
+  let s = Flat_image.to_bytes (Flat_hub.image flat) in
+  Repro_obs.Span.count "bytes" (String.length s);
+  s)
+
+(* A packed store's typed load error as a parse_error: line 0, the
+   message names the offending word. *)
+let packed_failure msg =
+  Repro_obs.Events.emit_ambient ~level:Repro_obs.Events.Warn
+    "hub_io.parse_failure"
+    [ ("byte", Repro_obs.Events.Int 0); ("msg", Repro_obs.Events.Str msg) ];
+  Error { line = 0; msg }
 
 let flat_of_bytes_res s =
   Repro_obs.Span.run ~name:"hub-io.load-packed" (fun () ->
   Repro_obs.Span.count "bytes" (String.length s);
-  let what = "Hub_io.flat_of_bytes" in
-  (* [line] reports the byte offset of the offending word for the
-     binary format. *)
-  let fail pos msg = raise (Parse { line = pos; msg = what ^ ": " ^ msg }) in
-  try
-    let mlen = String.length packed_magic in
-    if not (is_packed s) then fail 0 "bad magic";
-    if (String.length s - mlen) mod 8 <> 0 then
-      fail (String.length s) "truncated word";
-    let words = (String.length s - mlen) / 8 in
-    if words < 2 then fail mlen "missing header";
-    let get i =
-      let x = Int64.to_int (String.get_int64_le s (mlen + (8 * i))) in
-      if Int64.of_int x <> String.get_int64_le s (mlen + (8 * i)) then
-        fail (mlen + (8 * i)) "word overflows native int";
-      x
-    in
-    let n = get 0 and total = get 1 in
-    if n < 0 then fail mlen "negative vertex count";
-    if total < 0 then fail (mlen + 8) "negative total size";
-    if words <> 2 + (n + 1) + (2 * total) then
-      fail (String.length s) "length disagrees with header";
-    let offsets = Array.init (n + 1) (fun i -> get (2 + i)) in
-    let data = Array.init (2 * total) (fun i -> get (2 + (n + 1) + i)) in
-    match Flat_hub.of_raw ~n ~offsets ~data with
-    | flat -> Ok flat
-    | exception Invalid_argument msg -> fail 0 msg
-  with Parse e ->
-    Repro_obs.Events.emit_ambient ~level:Repro_obs.Events.Warn
-      "hub_io.parse_failure"
-      [ ("byte", Repro_obs.Events.Int e.line);
-        ("msg", Repro_obs.Events.Str e.msg) ];
-    Error e)
+  match Flat_image.of_string s with
+  | Ok image -> Ok (Flat_hub.of_image image)
+  | Error e ->
+      packed_failure
+        (Packed_file.error_to_string ~prefix:"Hub_io.flat_of_bytes" e))
 
 (* ---------------------------------------------------------------- *)
 (* Compressed packed form: the HUBFLAT2 encoding of Compact_hub. *)
@@ -184,11 +140,5 @@ let compact_of_bytes_res s =
      shallow opens are the mmap path's business (Compact_hub.load_res) *)
   match Compact_hub.of_bytes_res ~deep:true s with
   | Ok t -> Ok t
-  | Error e ->
-      let err = { line = 0; msg = Compact_hub.error_to_string e } in
-      Repro_obs.Events.emit_ambient ~level:Repro_obs.Events.Warn
-        "hub_io.parse_failure"
-        [ ("byte", Repro_obs.Events.Int err.line);
-          ("msg", Repro_obs.Events.Str err.msg) ];
-      Error err
+  | Error e -> packed_failure (Compact_hub.error_to_string e)
 

@@ -21,15 +21,15 @@ val of_string_res : string -> (Hub_label.t, parse_error) result
 
 (** {1 Binary packed form}
 
-    Serialisation of {!Flat_hub.t}: an 8-byte magic ["HUBFLAT1"]
-    followed by little-endian 64-bit words — [n], the total entry
-    count, the [n+1] CSR offsets and the [2*total] interleaved
-    [(hub, dist)] words. The encoding is canonical, so
-    save → load → save round-trips byte-for-byte. *)
+    Serialisation of {!Flat_hub.t}: the bytes of its {!Flat_image} —
+    an 8-byte magic ["HUBFLAT1"] followed by little-endian 64-bit
+    words: [n], the total entry count, the [n+1] CSR offsets and the
+    [2*total] interleaved [(hub, dist)] words. The encoding is
+    canonical, so save → load → save round-trips byte-for-byte. *)
 
 val packed_magic : string
 (** The 8-byte magic ["HUBFLAT1"] that opens every packed file (also
-    the first word of the {!Mmap_hub} view). *)
+    the first word of every {!Flat_image}). *)
 
 val is_packed : string -> bool
 (** Whether the string starts with the packed-form magic (used to
@@ -38,10 +38,11 @@ val is_packed : string -> bool
 val flat_to_bytes : Flat_hub.t -> string
 
 val flat_of_bytes_res : string -> (Flat_hub.t, parse_error) result
-(** Validated load; rejects bad magic, truncation, length/header
-    mismatches and every CSR violation {!Flat_hub.of_raw} rejects. For
-    this binary format the [line] field carries the byte offset of the
-    offending word. *)
+(** Deep-validated heap load ({!Flat_image.of_string}): the one
+    [HUBFLAT1] validator, so a file is rejected here exactly when
+    {!Mmap_hub.load_res} [~deep:true] rejects it, with the same
+    {!Packed_file.error}. The error is rendered under the prefix
+    ["Hub_io.flat_of_bytes"] with [line = 0]. *)
 
 (** {1 Compressed packed form}
 

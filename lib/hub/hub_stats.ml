@@ -58,7 +58,7 @@ let packed_sizes flat =
     let s = Flat_hub.size flat v in
     if s > !max_size then max_size := s
   done;
-  let flat1_bytes = String.length (Hub_io.flat_to_bytes flat) in
+  let flat1_bytes = Flat_hub.bytes flat in
   let flat2_bytes = String.length (Compact_hub.to_bytes flat) in
   let per b = if entries = 0 then 0. else 8. *. float_of_int b /. float_of_int entries in
   { entries;

@@ -29,15 +29,15 @@ type packed_sizes = {
   entries : int;  (** total label entries across all vertices *)
   avg_size : float;  (** average hubset size *)
   max_size : int;  (** largest hubset *)
-  flat1_bytes : int;  (** whole [HUBFLAT1] image ({!Hub_io.flat_to_bytes}) *)
+  flat1_bytes : int;  (** whole [HUBFLAT1] image ({!Flat_hub.bytes}) *)
   flat2_bytes : int;  (** whole [HUBFLAT2] image ({!Compact_hub.to_bytes}) *)
   flat1_bits_per_entry : float;  (** [8 * flat1_bytes / entries] *)
   flat2_bits_per_entry : float;  (** [8 * flat2_bytes / entries] *)
 }
 
 val packed_sizes : Flat_hub.t -> packed_sizes
-(** Encode the store both ways and measure ([0.] ratios on an empty
-    store). *)
+(** Measure the store's [HUBFLAT1] image and its [HUBFLAT2] encoding
+    ([0.] ratios on an empty store). *)
 
 val packed_report : packed_sizes -> string
 (** Multi-line human-readable summary, including the

@@ -1,10 +1,11 @@
 (** The one label-store interface.
 
-    Every packed hub-label store — heap {!Flat_hub}, zero-copy
-    {!Mmap_hub}, compressed {!Compact_hub} — is a {!RAW} module holding
-    only its format code (layout, validation, the two-pointer merge),
-    turned into a serving store by {!Make}. The functor supplies
-    everything that is the same across encodings:
+    Every packed hub-label store is {!Make} over a {!RAW} module that
+    holds only its format code (layout, validation, the two-pointer
+    merge): heap {!Flat_hub} and zero-copy {!Mmap_hub} over the one
+    [HUBFLAT1] image ({!Flat_image.Store}), compressed {!Compact_hub}
+    over its [HUBFLAT2] bytes. The functor supplies everything that is
+    the same across encodings:
 
     - the optional {e direct-mapped cache}: [cache_slots] slots keyed
       by the unordered pair, each new answer evicting whatever

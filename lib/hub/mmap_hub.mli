@@ -1,11 +1,11 @@
 (** Zero-copy memory-mapped hub-label store.
 
-    {!Flat_hub} answers queries from heap CSR arrays, which means every
-    worker that serves a packed label file first reads and re-validates
-    the whole thing into its own copy. This module instead maps the
-    canonical [HUBFLAT1] file (see {!Hub_io}) read-only via
-    [Unix.map_file] and answers the same two-pointer merge queries
-    straight out of the mapping:
+    {!Flat_hub} answers queries from a heap copy of the [HUBFLAT1]
+    image, which means every worker that serves a packed label file
+    first reads and re-validates the whole thing into its own copy.
+    This module instead maps the canonical [HUBFLAT1] file (see
+    {!Flat_image}) read-only via [Unix.map_file] and answers the same
+    two-pointer merge queries straight out of the mapping:
 
     - {e cold start is O(1)} in the label size — opening a store costs
       one [mmap] plus an O(n) header/offset validation, never an
@@ -26,8 +26,10 @@
     words themselves are garbage. Pass [~deep:true] (or call
     {!validate_entries}) to also scan all [2*total] entry words —
     sorted strictly-increasing hubs in [[0, n)], non-negative
-    native-int distances — which restores the exact guarantees of
-    {!Flat_hub.of_raw} at heap-parse cost.
+    native-int distances — which restores the exact guarantees of the
+    heap parse ({!Flat_image.of_string}) at its cost. Both loads run
+    the one validator, {!Flat_image.validate}, so they reject a
+    malformed file with the same {!error}.
 
     The mapping lives until the store is garbage-collected; unlinking
     the file after a successful load is safe (POSIX keeps mapped pages
@@ -37,21 +39,18 @@
 
 type t
 
-type error =
-  | Io of string  (** open/stat/map failed (missing file, EACCES, ...) *)
-  | Not_regular of string  (** not a regular file (directory, device, socket) *)
-  | Too_short of { bytes : int }  (** smaller than magic + header *)
-  | Misaligned of { bytes : int }  (** size not a whole number of 8-byte words *)
-  | Bad_magic  (** first 8 bytes are not ["HUBFLAT1"] *)
+type error = Packed_file.error =
+  | Io of string
+  | Not_regular of string
+  | Too_short of { bytes : int }
+  | Misaligned of { bytes : int }
+  | Bad_magic
   | Bad_header of { word : int; msg : string }
-      (** [n]/[total] negative or overflowing a native int;
-          [word] is the byte offset of the offending word *)
   | Length_mismatch of { expected_words : int; actual_words : int }
-      (** file length disagrees with the header's [n]/[total] *)
   | Bad_offsets of { vertex : int; msg : string }
-      (** offset table not monotone from 0 to [total] *)
   | Bad_entry of { vertex : int; entry : int; msg : string }
-      (** deep scan only: hub out of range / unsorted, or bad distance *)
+(** {!Packed_file.error}, re-exported; a [Bad_entry] comes from the
+    deep scan only. *)
 
 val error_to_string : error -> string
 
@@ -93,8 +92,8 @@ val bytes : t -> int
 (** Size in bytes of the mapping. *)
 
 val to_flat : t -> Flat_hub.t
-(** Materialise into a heap {!Flat_hub.t} (re-validating every entry
-    via {!Flat_hub.of_raw}).
+(** The same image served as a {!Flat_hub.t}, after
+    {!validate_entries} (no copy: the flat store shares the mapping).
     @raise Invalid_argument if the mapped entries are malformed — a
     shallow-loaded mapping can hold garbage entry words. *)
 

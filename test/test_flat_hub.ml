@@ -1,6 +1,8 @@
-(* Tests for the packed flat-array hub store: CSR invariants, edge
-   cases (empty labeling, single vertex), batched-vs-point agreement,
-   the direct-mapped cache, and the binary save/load round trip. *)
+(* Tests for the packed heap hub store: edge cases (empty labeling,
+   single vertex), batched-vs-point agreement, the direct-mapped cache,
+   and the binary save/load round trip. Malformed HUBFLAT1 bytes are
+   rejected by the one validator; its hostile table, run through the
+   heap parse and the mmap load alike, is in test_io_adversarial.ml. *)
 
 open Repro_graph
 open Repro_hub
@@ -38,34 +40,6 @@ let test_query_validates () =
   Alcotest.check_raises "batched out of range"
     (Invalid_argument "Flat_hub.query_many") (fun () ->
       ignore (Flat_hub.query_many flat [| (0, 2) |]))
-
-let test_of_raw_rejects () =
-  let check name ~n ~offsets ~data =
-    match Flat_hub.of_raw ~n ~offsets ~data with
-    | _ -> Alcotest.failf "%s: accepted invalid CSR input" name
-    | exception Invalid_argument _ -> ()
-  in
-  check "bad offsets length" ~n:2 ~offsets:[| 0; 1 |] ~data:[| 0; 0 |];
-  check "nonzero start" ~n:1 ~offsets:[| 1; 1 |] ~data:[||];
-  check "decreasing offsets" ~n:2 ~offsets:[| 0; 1; 0 |] ~data:[| 0; 0 |];
-  check "wrong end" ~n:1 ~offsets:[| 0; 2 |] ~data:[| 0; 0 |];
-  check "hub out of range" ~n:1 ~offsets:[| 0; 1 |] ~data:[| 1; 0 |];
-  check "negative distance" ~n:1 ~offsets:[| 0; 1 |] ~data:[| 0; -1 |];
-  check "unsorted hubs" ~n:3 ~offsets:[| 0; 2; 2; 2 |] ~data:[| 1; 0; 0; 1 |]
-
-let test_binary_rejects () =
-  let good = Hub_io.flat_to_bytes (Flat_hub.of_labels (Pll.build (Generators.path 4))) in
-  let expect_error name s =
-    match Hub_io.flat_of_bytes_res s with
-    | Error _ -> ()
-    | Ok _ -> Alcotest.failf "%s: malformed bytes accepted" name
-  in
-  expect_error "empty" "";
-  expect_error "bad magic" ("XUBFLAT1" ^ String.sub good 8 (String.length good - 8));
-  expect_error "truncated" (String.sub good 0 (String.length good - 3));
-  expect_error "missing words" (String.sub good 0 (String.length good - 8));
-  Test_util.check_bool "is_packed detects" true (Hub_io.is_packed good);
-  Test_util.check_bool "is_packed rejects text" false (Hub_io.is_packed "3 4\n")
 
 let flat_matches_assoc =
   Test_util.qcheck "flat store answers exactly like the assoc labeling"
@@ -152,9 +126,6 @@ let suite =
     Alcotest.test_case "single vertex" `Quick test_single_vertex;
     Alcotest.test_case "empty hubset" `Quick test_empty_hubset_is_disconnected;
     Alcotest.test_case "query validation" `Quick test_query_validates;
-    Alcotest.test_case "of_raw rejects bad CSR" `Quick test_of_raw_rejects;
-    Alcotest.test_case "binary loader rejects garbage" `Quick
-      test_binary_rejects;
     flat_matches_assoc;
     batched_equals_point;
     cached_equals_uncached;

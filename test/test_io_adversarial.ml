@@ -389,10 +389,14 @@ let prop_ctx_decode_total =
       | Ok (_, _) -> true
       | Error _ -> true)
 
-(* ----- Mmap_hub (zero-copy packed store) -----------------------------
+(* ----- HUBFLAT1 (heap Flat_hub and zero-copy Mmap_hub) ---------------
    Every malformed HUBFLAT1 file must decode to a typed [Mmap_hub.error]
-   — never a segfault, exception or hang. The fixture labeling is built
-   by hand so every word offset in the file is known exactly:
+   — never a segfault, exception or hang — and the two entry points
+   must reject it alike: the heap parse ([Flat_image.of_string], behind
+   [Hub_io.flat_of_bytes_res]) and [Mmap_hub.load_res ~deep:true] run
+   the one validator, so every row of [hubflat1_table] is checked to
+   give the same error through both. The fixture labeling is built by
+   hand so every word offset in the file is known exactly:
      word 0 magic | 1 n=3 | 2 total=6 | 3..6 offsets 0,1,3,6
      | 7.. data (0,0) (0,1)(1,0) (0,2)(1,1)(2,0)            (19 words) *)
 
@@ -414,25 +418,200 @@ let mmap_load ?deep bytes =
   Sys.remove path;
   res
 
-let mmap_err name ?deep bytes =
-  match mmap_load ?deep bytes with
-  | Ok _ -> Alcotest.failf "%s: expected a load error" name
-  | Error e -> e
-
 let patch bytes ~word v =
   let b = Bytes.of_string bytes in
   Bytes.set_int64_le b (8 * word) v;
   Bytes.to_string b
 
-let expect name got want =
-  if got <> want then
-    Alcotest.failf "%s: got %s, wanted %s" name
-      (Mmap_hub.error_to_string got)
-      (Mmap_hub.error_to_string want)
+(* hand-assemble a HUBFLAT1 file from its header and word list *)
+let image ~n ~total words =
+  String.concat ""
+    ("HUBFLAT1"
+    :: List.map
+         (fun x ->
+           let b = Bytes.create 8 in
+           Bytes.set_int64_le b 0 (Int64.of_int x);
+           Bytes.to_string b)
+         (n :: total :: words))
+
+(* the file that overflowed [2 * total] in the word-by-word heap parser
+   of earlier revisions: n = 2^62 - 2, total = 2^61 + 2, three zero
+   words (48 bytes) *)
+let overflow_file =
+  "HUBFLAT1"
+  ^ String.concat ""
+      (List.map
+         (fun x ->
+           let b = Bytes.create 8 in
+           Bytes.set_int64_le b 0 x;
+           Bytes.to_string b)
+         [ 0x3FFF_FFFF_FFFF_FFFEL; 0x2000_0000_0000_0002L; 0L; 0L; 0L ])
+
+(* [hostile name bytes]: the one error both entry points give *)
+let hostile name bytes =
+  let str = Mmap_hub.error_to_string in
+  let heap =
+    match Flat_image.of_string bytes with
+    | Ok _ -> Alcotest.failf "%s: heap parse accepted malformed bytes" name
+    | Error e -> e
+  in
+  (match mmap_load ~deep:true bytes with
+  | Ok _ -> Alcotest.failf "%s: deep mmap load accepted malformed bytes" name
+  | Error e when e <> heap ->
+      Alcotest.failf "%s: heap parse says %s, mmap load says %s" name
+        (str heap) (str e)
+  | Error _ -> ());
+  (match Hub_io.flat_of_bytes_res bytes with
+  | Ok _ -> Alcotest.failf "%s: Hub_io.flat_of_bytes_res accepted" name
+  | Error { Hub_io.line; msg } ->
+      let want =
+        Packed_file.error_to_string ~prefix:"Hub_io.flat_of_bytes" heap
+      in
+      if line <> 0 || msg <> want then
+        Alcotest.failf "%s: Hub_io reports %d/%S, wanted 0/%S" name line msg
+          want);
+  heap
+
+(* One table, by group: (case, bytes, the error it must give). *)
+let hubflat1_table =
+  lazy
+    (let bytes = Lazy.force packed_fixture in
+     let is want e = e = want in
+     let header word = function
+       | Mmap_hub.Bad_header { word = w; _ } -> w = word
+       | _ -> false
+     in
+     let offsets = function Mmap_hub.Bad_offsets _ -> true | _ -> false in
+     let entry = function Mmap_hub.Bad_entry _ -> true | _ -> false in
+     let mismatch expected_words actual_words =
+       is (Mmap_hub.Length_mismatch { expected_words; actual_words })
+     in
+     let bad_offsets vertex msg = is (Mmap_hub.Bad_offsets { vertex; msg }) in
+     let bad_entry entry msg =
+       is (Mmap_hub.Bad_entry { vertex = 0; entry; msg })
+     in
+     let path4 =
+       Hub_io.flat_to_bytes
+         (Flat_hub.of_labels (Pll.build (Generators.path 4)))
+     in
+     let cut s k = String.sub s 0 (String.length s - k) in
+     [
+       (* cut the file at every possible byte boundary; the error
+          constructor is fully determined by the cut length *)
+       ( "truncation",
+         List.init (String.length bytes) (fun k ->
+             let want =
+               if k < 24 then Mmap_hub.Too_short { bytes = k }
+               else if k mod 8 <> 0 then Mmap_hub.Misaligned { bytes = k }
+               else
+                 (* expected_words saturates to max_int while the
+                    header's n=3/total=6 still exceed the truncated
+                    word count *)
+                 let actual_words = k / 8 in
+                 Mmap_hub.Length_mismatch
+                   { expected_words =
+                       (if actual_words < 6 then max_int else 19);
+                     actual_words }
+             in
+             (Printf.sprintf "cut at %d" k, String.sub bytes 0 k, is want)) );
+       ( "header",
+         [
+           ("magic", patch bytes ~word:0 0L, is Mmap_hub.Bad_magic);
+           ("negative n", patch bytes ~word:1 (-1L), header 8);
+           ("overflowing n", patch bytes ~word:1 Int64.max_int, header 8);
+           ("negative total", patch bytes ~word:2 Int64.min_int, header 16);
+           ( "inflated n",
+             patch bytes ~word:1 4L,
+             mismatch 20 19 );
+           ( "inflated total",
+             patch bytes ~word:2 7L,
+             mismatch 21 19 );
+           (* n/total far beyond the file: the saturated length check,
+              not an allocation or overflow, must reject them *)
+           ( "huge n",
+             patch bytes ~word:1 0x10_0000_0000L,
+             mismatch max_int 19 );
+           ( "2*total overflow",
+             overflow_file,
+             mismatch max_int 6 );
+           ( "misaligned tail",
+             bytes ^ "xyz",
+             is (Mmap_hub.Misaligned { bytes = String.length bytes + 3 }) );
+           ( "trailing word",
+             bytes ^ String.make 8 '\x00',
+             mismatch 19 20 );
+           ("empty", "", is (Mmap_hub.Too_short { bytes = 0 }));
+           ( "bad magic letter",
+             "XUBFLAT1" ^ String.sub path4 8 (String.length path4 - 8),
+             is Mmap_hub.Bad_magic );
+           ( "truncated word",
+             cut path4 3,
+             is (Mmap_hub.Misaligned { bytes = String.length path4 - 3 }) );
+           ( "missing word",
+             cut path4 8,
+             function Mmap_hub.Length_mismatch _ -> true | _ -> false );
+           ( "offsets one short",
+             image ~n:2 ~total:1 [ 0; 1; 0; 0 ],
+             mismatch 8 7 );
+         ] );
+       ( "offsets",
+         [
+           ("offsets must start at 0", patch bytes ~word:3 1L, offsets);
+           ("negative first offset", patch bytes ~word:3 (-1L), offsets);
+           ("decreasing offsets", patch bytes ~word:5 0L, offsets);
+           ("offset beyond entry count", patch bytes ~word:5 7L, offsets);
+           ( "offset beyond int64 range",
+             patch bytes ~word:5 Int64.max_int,
+             offsets );
+           ("final offset below total", patch bytes ~word:6 5L, offsets);
+           ("negative middle offset", patch bytes ~word:4 (-3L), offsets);
+           ( "nonzero start",
+             image ~n:1 ~total:0 [ 1; 1 ],
+             bad_offsets 0 "must start at 0" );
+           ( "decreasing tail",
+             image ~n:2 ~total:1 [ 0; 1; 0; 0; 0 ],
+             bad_offsets 2 "must be non-decreasing" );
+           ( "wrong end",
+             image ~n:1 ~total:1 [ 0; 2; 0; 0 ],
+             bad_offsets 1 "exceeds the entry count" );
+         ] );
+       ( "entries",
+         [
+           ("hub out of range", patch bytes ~word:7 5L, entry);
+           ("negative hub", patch bytes ~word:7 (-1L), entry);
+           ("hubs not strictly increasing", patch bytes ~word:11 0L, entry);
+           ("negative distance", patch bytes ~word:8 (-2L), entry);
+           ( "distance overflows native int",
+             patch bytes ~word:8 0x4000_0000_0000_0000L,
+             entry );
+           ( "hub = n",
+             image ~n:1 ~total:1 [ 0; 1; 1; 0 ],
+             bad_entry 0 "hub out of range" );
+           ( "distance -1",
+             image ~n:1 ~total:1 [ 0; 1; 0; -1 ],
+             bad_entry 0 "bad distance" );
+           ( "unsorted hubs",
+             image ~n:3 ~total:2 [ 0; 2; 2; 2; 1; 0; 0; 1 ],
+             bad_entry 1 "hubs must be strictly increasing" );
+         ] );
+     ])
+
+let run_group group =
+  List.iter
+    (fun (name, bytes, want) ->
+      let e = hostile name bytes in
+      if not (want e) then
+        Alcotest.failf "%s: unexpected %s" name (Mmap_hub.error_to_string e))
+    (List.assoc group (Lazy.force hubflat1_table))
 
 let test_mmap_pristine () =
   let bytes = Lazy.force packed_fixture in
   Test_util.check_int "fixture size" (8 * 19) (String.length bytes);
+  Test_util.check_bool "is_packed detects" true (Hub_io.is_packed bytes);
+  Test_util.check_bool "is_packed rejects text" false (Hub_io.is_packed "3 4\n");
+  (match Hub_io.flat_of_bytes_res bytes with
+  | Error e -> Alcotest.failf "pristine heap parse: %s" e.Hub_io.msg
+  | Ok flat -> Test_util.check_int "heap d(0,2)" 2 (Flat_hub.query flat 0 2));
   match mmap_load ~deep:true bytes with
   | Error e -> Alcotest.failf "pristine: %s" (Mmap_hub.error_to_string e)
   | Ok store ->
@@ -441,100 +620,29 @@ let test_mmap_pristine () =
       Test_util.check_int "d(0,2)" 2 (Mmap_hub.query store 0 2);
       Test_util.check_int "d(2,1)" 1 (Mmap_hub.query store 2 1)
 
-(* cut the file at every possible byte boundary; the error constructor
-   is fully determined by the cut length *)
-let test_mmap_truncated_every_byte () =
-  let bytes = Lazy.force packed_fixture in
-  for k = 0 to String.length bytes - 1 do
-    let e = mmap_err (Printf.sprintf "cut at %d" k) (String.sub bytes 0 k) in
-    let want =
-      if k < 24 then Mmap_hub.Too_short { bytes = k }
-      else if k mod 8 <> 0 then Mmap_hub.Misaligned { bytes = k }
-      else
-        (* expected_words saturates to max_int while the header's
-           n=3/total=6 still exceed the truncated word count *)
-        let actual_words = k / 8 in
-        let expected_words = if actual_words < 6 then max_int else 19 in
-        Mmap_hub.Length_mismatch { expected_words; actual_words }
-    in
-    expect (Printf.sprintf "cut at %d" k) e want
-  done
+let test_mmap_truncated_every_byte () = run_group "truncation"
+let test_mmap_hostile_header () = run_group "header"
+let test_mmap_hostile_offsets () = run_group "offsets"
 
-let test_mmap_hostile_header () =
-  let bytes = Lazy.force packed_fixture in
-  (match mmap_err "magic" (patch bytes ~word:0 0L) with
-  | Mmap_hub.Bad_magic -> ()
-  | e -> Alcotest.failf "magic: got %s" (Mmap_hub.error_to_string e));
-  (match mmap_err "negative n" (patch bytes ~word:1 (-1L)) with
-  | Mmap_hub.Bad_header { word = 8; _ } -> ()
-  | e -> Alcotest.failf "negative n: got %s" (Mmap_hub.error_to_string e));
-  (match mmap_err "overflowing n" (patch bytes ~word:1 Int64.max_int) with
-  | Mmap_hub.Bad_header { word = 8; _ } -> ()
-  | e -> Alcotest.failf "overflowing n: got %s" (Mmap_hub.error_to_string e));
-  (match mmap_err "negative total" (patch bytes ~word:2 Int64.min_int) with
-  | Mmap_hub.Bad_header { word = 16; _ } -> ()
-  | e -> Alcotest.failf "negative total: got %s" (Mmap_hub.error_to_string e));
-  expect "inflated n"
-    (mmap_err "inflated n" (patch bytes ~word:1 4L))
-    (Mmap_hub.Length_mismatch { expected_words = 20; actual_words = 19 });
-  expect "inflated total"
-    (mmap_err "inflated total" (patch bytes ~word:2 7L))
-    (Mmap_hub.Length_mismatch { expected_words = 21; actual_words = 19 });
-  (* n/total far beyond the file: the saturated length check, not an
-     allocation or overflow, must reject them *)
-  (match mmap_err "huge n" (patch bytes ~word:1 0x10_0000_0000L) with
-  | Mmap_hub.Length_mismatch _ -> ()
-  | e -> Alcotest.failf "huge n: got %s" (Mmap_hub.error_to_string e));
-  (match
-     mmap_err "misaligned tail" (bytes ^ "xyz")
-   with
-  | Mmap_hub.Misaligned _ -> ()
-  | e -> Alcotest.failf "misaligned tail: got %s" (Mmap_hub.error_to_string e));
-  match mmap_err "trailing word" (bytes ^ String.make 8 '\x00') with
-  | Mmap_hub.Length_mismatch { expected_words = 19; actual_words = 20 } -> ()
-  | e -> Alcotest.failf "trailing word: got %s" (Mmap_hub.error_to_string e)
-
-let test_mmap_hostile_offsets () =
-  let bytes = Lazy.force packed_fixture in
-  let bad word v name =
-    match mmap_err name (patch bytes ~word v) with
-    | Mmap_hub.Bad_offsets _ -> ()
-    | e -> Alcotest.failf "%s: got %s" name (Mmap_hub.error_to_string e)
-  in
-  bad 3 1L "offsets must start at 0";
-  bad 3 (-1L) "negative first offset";
-  bad 5 0L "decreasing offsets";
-  bad 5 7L "offset beyond entry count";
-  bad 5 Int64.max_int "offset beyond int64 range";
-  bad 6 5L "final offset below total";
-  bad 4 (-3L) "negative middle offset"
-
-(* deep mode scans every entry word; shallow mode deliberately accepts
-   garbage entries (memory safety only needs the offsets) and
+(* both deep paths scan every entry word; shallow mode deliberately
+   accepts garbage entries (memory safety only needs the offsets) and
    [validate_entries] catches the rot after the fact. *)
 let test_mmap_hostile_entries () =
-  let bytes = Lazy.force packed_fixture in
-  let bad word v name =
-    (match mmap_err ~deep:true name (patch bytes ~word v) with
-    | Mmap_hub.Bad_entry _ -> ()
-    | e -> Alcotest.failf "%s (deep): got %s" name (Mmap_hub.error_to_string e));
-    match mmap_load (patch bytes ~word v) with
-    | Error e ->
-        Alcotest.failf "%s: shallow load must accept bad entry words, got %s"
-          name (Mmap_hub.error_to_string e)
-    | Ok store -> (
-        match Mmap_hub.validate_entries store with
-        | Error (Mmap_hub.Bad_entry _) -> ()
-        | Error e ->
-            Alcotest.failf "%s: validate_entries got %s" name
-              (Mmap_hub.error_to_string e)
-        | Ok () -> Alcotest.failf "%s: validate_entries accepted rot" name)
-  in
-  bad 7 5L "hub out of range";
-  bad 7 (-1L) "negative hub";
-  bad 11 0L "hubs not strictly increasing";
-  bad 8 (-2L) "negative distance";
-  bad 8 0x4000_0000_0000_0000L "distance overflows native int"
+  run_group "entries";
+  List.iter
+    (fun (name, bytes, _) ->
+      match mmap_load bytes with
+      | Error e ->
+          Alcotest.failf "%s: shallow load must accept bad entry words, got %s"
+            name (Mmap_hub.error_to_string e)
+      | Ok store -> (
+          match Mmap_hub.validate_entries store with
+          | Error e when e = hostile name bytes -> ()
+          | Error e ->
+              Alcotest.failf "%s: validate_entries got %s" name
+                (Mmap_hub.error_to_string e)
+          | Ok () -> Alcotest.failf "%s: validate_entries accepted rot" name))
+    (List.assoc "entries" (Lazy.force hubflat1_table))
 
 let test_mmap_not_a_file () =
   (match Mmap_hub.load_res "/nonexistent/hubhard/labels.bin" with
@@ -556,10 +664,13 @@ let prop_mmap_load_total =
   Test_util.qcheck "Mmap_hub.load_res is total on random bytes" ~count:120
     QCheck2.Gen.(string_size ~gen:char (int_range 0 200))
     (fun s ->
-      (* no exception ever; acceptance implies a coherent header *)
+      (* no exception ever; acceptance implies a coherent header; the
+         heap parse accepts or rejects exactly alike *)
+      let heap = Result.map (fun _ -> ()) (Flat_image.of_string s) in
       match mmap_load ~deep:true s with
-      | Ok store -> Mmap_hub.n store >= 0 && Mmap_hub.total_size store >= 0
-      | Error _ -> true)
+      | Ok store ->
+          heap = Ok () && Mmap_hub.n store >= 0 && Mmap_hub.total_size store >= 0
+      | Error e -> heap = Error e)
 
 (* ----- Compact_hub (compressed zero-copy store) ----------------------
    The HUBFLAT2 decoder faces a strictly nastier input space than

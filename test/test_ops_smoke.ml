@@ -16,8 +16,9 @@
    5. the store boundary, table-driven over serve query | stats | loop
       | router | trace and every store flag each accepts: a store whose
       n differs from the graph exits 11, a file of the wrong packed
-      format exits 10, a conflicting flag pair exits 124, and
-      --cache-slots or --flat without a packed store to serve exit 124.
+      format or with an overflowing header exits 10 (serve check
+      too), a conflicting flag pair exits 124, and --cache-slots or
+      --flat without a packed store to serve exit 124.
 
    Runs as its own executable: the router forks, so this binary stays
    strictly domain-free. The CLI path arrives as argv.(1). *)
@@ -230,6 +231,17 @@ let () =
   let small2 = Filename.temp_file "ops_smoke_small2" ".bin" in
   let packed2 = Filename.temp_file "ops_smoke_hubflat2" ".bin" in
   let empty = Filename.temp_file "ops_smoke_queries" ".txt" in
+  (* a 48-byte HUBFLAT1 file whose header (n = 2^62 - 2, total =
+     2^61 + 2) makes 2 * total wrap: the saturated length check must
+     reject it as a parse failure on every path *)
+  let overflow = Filename.temp_file "ops_smoke_overflow" ".bin" in
+  (let b = Bytes.make 48 '\000' in
+   Bytes.blit_string "HUBFLAT1" 0 b 0 8;
+   Bytes.set_int64_le b 8 0x3FFF_FFFF_FFFF_FFFEL;
+   Bytes.set_int64_le b 16 0x2000_0000_0000_0002L;
+   let oc = open_out_bin overflow in
+   output_bytes oc b;
+   close_out oc);
   pack ~n:150 ~compress:false small;
   pack ~n:150 ~compress:true small2;
   pack ~n:180 ~compress:true packed2;
@@ -265,7 +277,9 @@ let () =
              flag reads *)
           let mismatched = if flag = [ "--compact" ] then small2 else small in
           expect (name ^ ": store n <> graph n") 11
-            (serve ~labels:mismatched flag))
+            (serve ~labels:mismatched flag);
+          expect (name ^ ": 2*total overflow file") 10
+            (serve ~labels:overflow flag))
         flags;
       expect (sub ^ " --compact: HUBFLAT1 file") 10
         (serve ~labels:packed_file [ "--compact" ]);
@@ -289,7 +303,9 @@ let () =
           (serve [ "--flat" ])
       end)
     subs;
-  List.iter Sys.remove [ small; small2; packed2; empty ];
+  expect "check: 2*total overflow file" 10
+    [ "serve"; "check"; "--graph-file"; graph_file; "--labels-file"; overflow ];
+  List.iter Sys.remove [ small; small2; packed2; empty; overflow ];
   Printf.printf "scenario 5 (store boundary on every serve subcommand): ok\n%!";
   Sys.remove packed_file;
   Sys.remove graph_file;
